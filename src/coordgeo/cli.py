@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -14,18 +14,9 @@ from .angles import axioms_satisfied, collect_pool, derive_discretizer
 from .catalog import build_catalog, catalog_to_json
 from .coefficients import descriptor, e_one
 from .shape import moment_per_neighbour, sphericity
-from .snapshot import auto_cutoff, classify, neighbours_cutoff, per_particle_e, read_frames
+from .snapshot import analyze_frame, auto_cutoff, neighbours_cutoff, read_frames
 from .spacemap import (delaunay_2d, distance_matrix, hierarchical_cluster,
                        mds, order_typicality_scatter, typicality)
-
-_DEFAULTS = {
-    "epsilon": 2.85,
-    "min_pts": 1,
-    "dims": 8,
-    "seed": 0,
-    "restarts": 20,
-}
-
 
 @dataclass
 class RunConfig:
@@ -42,6 +33,9 @@ class RunConfig:
             raise ValueError("dims must be at least 1")
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
+
+
+_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
 
 
 def _load_config_file(path):
@@ -62,10 +56,9 @@ def _resolve_config(args) -> RunConfig:
     merged = dict(_DEFAULTS)
     if getattr(args, "config", None):
         raw = _load_config_file(args.config)
-        for key, cast in (("epsilon", float), ("min_pts", int), ("dims", int),
-                          ("seed", int), ("restarts", int)):
+        for key, default in _DEFAULTS.items():
             if key in raw:
-                merged[key] = cast(raw[key])
+                merged[key] = type(default)(raw[key])
     for key in _DEFAULTS:
         flag = getattr(args, key, None)
         if flag is not None:
@@ -208,8 +201,7 @@ def cmd_analyze(args):
     for fi, frame in enumerate(frames):
         rcut = args.rcut if args.rcut else auto_cutoff(frame)
         nl = neighbours_cutoff(frame, rcut)
-        e, kk, mm = per_particle_e(frame, nl, disc)
-        labels, dists = classify(frame, nl, catalog, disc)
+        e, kk, mm, labels, dists = analyze_frame(frame, nl, catalog, disc)
         hist = {}
         for i in range(frame.n):
             es = "nan" if np.isnan(e[i]) else _fmt(e[i])

@@ -1,37 +1,14 @@
-"""Hot numeric kernels: cell-list neighbour search and per-particle angle profiling.
+"""Hot numeric kernels: neighbour search, per-particle angle profiling, classification.
 
-Each kernel has a numba @njit implementation and a pure-numpy fallback.
-The backend is selected once at import time: set COORDGEO_NUMBA=0 to force
-the numpy path (e.g. for debugging or benchmarking the fallback).
+Each kernel has one numpy implementation.  Neighbour search is a vectorised
+cell list (Allen & Tildesley, Computer Simulation of Liquids, sec. 5.3); the
+O(N^2) brute force stays as its reference and serves frames with fewer than
+three cells on some axis.
 """
-
-import os
 
 import numpy as np
 
-_env = os.environ.get("COORDGEO_NUMBA", "1").strip().lower()
-_want_numba = _env not in ("0", "false", "no", "off")
-
-try:
-    if _want_numba:
-        from numba import njit
-
-        HAVE_NUMBA = True
-    else:
-        raise ImportError
-except ImportError:
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        # identity decorator so the same source runs under both backends
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(fn):
-            return fn
-
-        return wrap
-
+HAVE_NUMBA = False  # constant: perfbench/worker.py reads it to record the backend
 
 # resolution (degrees) under which two measured angles in the same bin count
 # as one distinct angle; must lie above the thermal-noise scale and below the
@@ -39,65 +16,130 @@ except ImportError:
 # its value below the smallest two-member splitting separation (4.66 degrees)
 VALUE_RESOLUTION = 1.2
 
+_MAX_CELLS = 64          # per axis; larger cells stay correct, only slower
+_PAIR_BUDGET = 1_000_000  # candidate pairs held in memory at once
+# the 27 cell offsets around a cell, each a (dx, dy, dz) row
+_STENCIL = np.stack(np.meshgrid([-1, 0, 1], [-1, 0, 1], [-1, 0, 1],
+                                indexing="ij"), axis=-1).reshape(-1, 3)
 
-@njit(cache=True)
-def _neighbour_pairs_cells(frac, box, periodic, rcut, ncell, head, nxt, cell_of):
-    # frac: fractional coords in [0,1); box row-vectors; returns CSR adjacency
-    n = frac.shape[0]
+
+def _dot3(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _pair_r2(pos, i, j, box, inv):
+    """|pos[i] - pos[j]|^2 over broadcast index arrays i, j (minimum image if box).
+
+    Plain elementwise arithmetic makes each value independent of the shape of
+    i and j, so the cell list and the brute force decide pairs at rcut alike.
+    """
+    d = [pos[i, c] - pos[j, c] for c in range(3)]
+    if box is not None:
+        f = [_dot3(d, inv[:, c]) for c in range(3)]
+        del d
+        for x in f:
+            x -= np.rint(x)
+        d = [_dot3(f, box[:, c]) for c in range(3)]
+    return _dot3(d, d)
+
+
+def _np_neighbour_pairs(pos, box, periodic, rcut):
+    """O(N^2) reference search: CSR neighbour lists within rcut, rows sorted."""
+    pos = np.ascontiguousarray(pos, dtype=np.float64)
+    n = len(pos)
+    box = box if periodic else None
+    inv = np.linalg.inv(box) if periodic else None
+    chunk = max(1, int(4e6 // n))
     counts = np.zeros(n, dtype=np.int64)
-    rcut2 = rcut * rcut
-    # first pass: count, second pass: fill
-    for phase in range(2):
-        if phase == 1:
-            starts = np.zeros(n + 1, dtype=np.int64)
-            for i in range(n):
-                starts[i + 1] = starts[i] + counts[i]
-            idx = np.zeros(starts[n], dtype=np.int64)
-            fill = starts[:-1].copy()
-        for i in range(n):
-            ci = cell_of[i]
-            cx = ci % ncell[0]
-            cy = (ci // ncell[0]) % ncell[1]
-            cz = ci // (ncell[0] * ncell[1])
-            for dz in range(-1, 2):
-                for dy in range(-1, 2):
-                    for dx in range(-1, 2):
-                        ex, ey, ez = cx + dx, cy + dy, cz + dz
-                        if periodic:
-                            ex %= ncell[0]
-                            ey %= ncell[1]
-                            ez %= ncell[2]
-                        elif (ex < 0 or ex >= ncell[0] or ey < 0 or ey >= ncell[1]
-                              or ez < 0 or ez >= ncell[2]):
-                            continue
-                        j = head[ex + ncell[0] * (ey + ncell[1] * ez)]
-                        while j >= 0:
-                            if j != i:
-                                fx = frac[i, 0] - frac[j, 0]
-                                fy = frac[i, 1] - frac[j, 1]
-                                fz = frac[i, 2] - frac[j, 2]
-                                if periodic:
-                                    fx -= np.rint(fx)
-                                    fy -= np.rint(fy)
-                                    fz -= np.rint(fz)
-                                rx = fx * box[0, 0] + fy * box[1, 0] + fz * box[2, 0]
-                                ry = fx * box[0, 1] + fy * box[1, 1] + fz * box[2, 1]
-                                rz = fx * box[0, 2] + fy * box[1, 2] + fz * box[2, 2]
-                                if rx * rx + ry * ry + rz * rz <= rcut2:
-                                    if phase == 0:
-                                        counts[i] += 1
-                                    else:
-                                        idx[fill[i]] = j
-                                        fill[i] += 1
-                            j = nxt[j]
-        if phase == 1:
-            return starts, idx
-    return np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64)  # unreachable
+    idx = []
+    for lo in range(0, n, chunk):
+        rows = np.arange(lo, min(n, lo + chunk))
+        r2 = _pair_r2(pos, rows[:, None], np.arange(n)[None, :], box, inv)
+        r2[np.arange(len(rows)), rows] = np.inf
+        ii, jj = np.nonzero(r2 <= rcut * rcut)
+        counts[rows] = np.bincount(ii, minlength=len(rows))
+        idx.append(jj)
+    starts = np.concatenate([[0], np.cumsum(counts)])
+    return starts, np.concatenate(idx).astype(np.int64)
 
 
-@njit(cache=True)
-def _count_clusters(vals, s, e, value_res, bounds):
-    """Distinct-angle clusters among sorted vals[s:e] (one bin's content).
+def neighbour_csr(pos, box, periodic, rcut):
+    """CSR neighbour lists within rcut (minimum image when periodic).
+
+    Particles are sorted by cell; the candidates of a particle are the members
+    of the 27 cells around its own, kept if within rcut.  Output equals
+    _np_neighbour_pairs, which runs instead when some axis has fewer than 3
+    cells (there the wrapped stencil would visit one cell twice).
+    """
+    pos = np.ascontiguousarray(pos, dtype=np.float64)
+    n = len(pos)
+    # a hair of slack keeps every cell wider than rcut despite rounding
+    cell_len = rcut * (1.0 + 1e-9)
+    if periodic:
+        inv = np.linalg.inv(box)
+        frac = pos @ inv
+        frac -= np.floor(frac)
+        ncell = _perpendicular_widths(box) // cell_len
+    else:
+        box = inv = None
+        lo = pos.min(axis=0)
+        span = pos.max(axis=0) - lo
+        ncell = span // cell_len
+        frac = (pos - lo) / np.maximum(span, np.finfo(float).tiny)
+    if ncell.min() < 3:
+        return _np_neighbour_pairs(pos, box, periodic, rcut)
+    ncell = np.minimum(ncell, _MAX_CELLS).astype(np.int64)
+    cell = np.minimum((frac * ncell).astype(np.int64), ncell - 1)
+    cid = _flat(cell, ncell)
+    order = np.argsort(cid, kind="stable")
+    members = np.bincount(cid, minlength=int(ncell.prod()))
+    first = np.cumsum(members) - members
+    chunk = max(1, _PAIR_BUDGET // (len(_STENCIL) * int(members.max())))
+    counts = np.zeros(n, dtype=np.int64)
+    idx = []
+    for lo in range(0, n, chunk):
+        hi = min(n, lo + chunk)
+        # the stencil cells of each particle and the candidates each holds
+        near = cell[lo:hi, None, :] + _STENCIL
+        if periodic:
+            near %= ncell
+            inside = True
+        else:
+            inside = ((near >= 0) & (near < ncell)).all(axis=2)
+            near = np.clip(near, 0, ncell - 1)
+        near = _flat(near, ncell).ravel()
+        size = np.where(inside, members[near].reshape(hi - lo, -1), 0).ravel()
+        i = np.repeat(np.arange(lo, hi), len(_STENCIL))
+        i = np.repeat(i, size)
+        ends = np.cumsum(size)
+        j = order[np.arange(ends[-1]) + np.repeat(first[near] - ends + size, size)]
+        keep = i != j
+        i, j = i[keep], j[keep]
+        keep = _pair_r2(pos, i, j, box, inv) <= rcut * rcut
+        # CSR order: by particle, then by neighbour index
+        key = np.sort((i[keep] - lo) * n + j[keep])
+        counts[lo:hi] = np.bincount(key // n, minlength=hi - lo)
+        idx.append(key % n)
+    starts = np.concatenate([[0], np.cumsum(counts)])
+    return starts, np.concatenate(idx).astype(np.int64)
+
+
+def _flat(cell, ncell):
+    return cell[..., 0] + ncell[0] * (cell[..., 1] + ncell[1] * cell[..., 2])
+
+
+def _perpendicular_widths(box):
+    v = np.abs(np.linalg.det(box))
+    w = np.empty(3)
+    for i in range(3):
+        a = box[(i + 1) % 3]
+        b = box[(i + 2) % 3]
+        w[i] = v / np.linalg.norm(np.cross(a, b))
+    return w
+
+
+def _count_clusters(vals, value_res):
+    """Distinct-angle clusters among the sorted values of one bin.
 
     Values chain-merge when consecutive gaps stay within value_res.  A
     cluster needs at least three members, or a separation of more than twice
@@ -107,180 +149,6 @@ def _count_clusters(vals, s, e, value_res, bounds):
     multiplicity >= 4 or separation >= 4 degrees, so ideal neighbourhoods are
     never over-merged.)
     """
-    nb = 0
-    for t in range(s + 1, e):
-        if vals[t] - vals[t - 1] > value_res:
-            bounds[nb] = t
-            nb += 1
-    far = 2.0 * value_res
-    while nb > 0:
-        best_gap = 1e300
-        best_b = -1
-        prev = s
-        for c in range(nb + 1):
-            end = bounds[c] if c < nb else e
-            if end - prev <= 2:
-                gap_l = vals[prev] - vals[prev - 1] if c > 0 else 1e300
-                gap_r = vals[end] - vals[end - 1] if c < nb else 1e300
-                gap = gap_l if gap_l < gap_r else gap_r
-                b = c - 1 if gap_l < gap_r else c
-                qualifies = (end - prev == 1) or gap <= far
-                if qualifies and gap < best_gap:
-                    best_gap = gap
-                    best_b = b
-            prev = end
-        if best_b < 0:
-            break
-        for b in range(best_b, nb - 1):
-            bounds[b] = bounds[b + 1]
-        nb -= 1
-    return nb + 1
-
-
-@njit(cache=True)
-def _profile_particles(pos, box, periodic, starts, idx, edges, nclasses, value_res):
-    """Per particle: bond count k, distinct-angle count m, per-class counts.
-
-    Measured angles are sorted and binned; within each bin the number of
-    distinct angles comes from _count_clusters.
-    """
-    n = pos.shape[0]
-    kk = np.zeros(n, dtype=np.int64)
-    mm = np.zeros(n, dtype=np.int64)
-    fcounts = np.zeros((n, nclasses), dtype=np.int64)
-    rad2deg = 180.0 / np.pi
-    for i in range(n):
-        k = starts[i + 1] - starts[i]
-        kk[i] = k
-        if k < 2:
-            continue
-        bonds = np.empty((k, 3))
-        for a in range(k):
-            j = idx[starts[i] + a]
-            fx = pos[j, 0] - pos[i, 0]
-            fy = pos[j, 1] - pos[i, 1]
-            fz = pos[j, 2] - pos[i, 2]
-            if periodic:
-                # minimum image through fractional coordinates
-                gx = fx * box[0, 0] + fy * box[1, 0] + fz * box[2, 0]
-                gy = fx * box[0, 1] + fy * box[1, 1] + fz * box[2, 1]
-                gz = fx * box[0, 2] + fy * box[1, 2] + fz * box[2, 2]
-                gx -= np.rint(gx)
-                gy -= np.rint(gy)
-                gz -= np.rint(gz)
-                fx = gx * box[3, 0] + gy * box[4, 0] + gz * box[5, 0]
-                fy = gx * box[3, 1] + gy * box[4, 1] + gz * box[5, 1]
-                fz = gx * box[3, 2] + gy * box[4, 2] + gz * box[5, 2]
-            ln = np.sqrt(fx * fx + fy * fy + fz * fz)
-            bonds[a, 0] = fx / ln
-            bonds[a, 1] = fy / ln
-            bonds[a, 2] = fz / ln
-        npair = k * (k - 1) // 2
-        angles = np.empty(npair)
-        cls = np.empty(npair, dtype=np.int64)
-        t = 0
-        for a in range(k):
-            for b in range(a + 1, k):
-                c = (bonds[a, 0] * bonds[b, 0] + bonds[a, 1] * bonds[b, 1]
-                     + bonds[a, 2] * bonds[b, 2])
-                if c > 1.0:
-                    c = 1.0
-                elif c < -1.0:
-                    c = -1.0
-                angles[t] = np.arccos(c) * rad2deg
-                t += 1
-        angles.sort()
-        for t in range(npair):
-            cls[t] = np.searchsorted(edges, angles[t], side="left")
-        bounds = np.empty(npair, dtype=np.int64)
-        m = 0
-        s = 0
-        for t in range(1, npair + 1):
-            if t == npair or cls[t] != cls[s]:
-                nclus = _count_clusters(angles, s, t, value_res, bounds)
-                fcounts[i, cls[s]] += nclus
-                m += nclus
-                s = t
-        mm[i] = m
-    return kk, mm, fcounts
-
-
-@njit(cache=True)
-def _classify_particles(kk, mm, fcounts, cat_k, cat_m, cat_f):
-    """Nearest catalog geometry per particle (corrected union distance)."""
-    n = kk.shape[0]
-    ng = cat_k.shape[0]
-    nclasses = cat_f.shape[1]
-    labels = np.full(n, -1, dtype=np.int64)
-    dists = np.full(n, np.nan)
-    for i in range(n):
-        k = kk[i]
-        if k < 2:
-            continue
-        lp_i = np.log2(k * k - k)
-        e_i = lp_i - np.log2(2.0 * mm[i])
-        best = np.inf
-        besti = -1
-        for g in range(ng):
-            union = 0
-            for c in range(nclasses):
-                fi = fcounts[i, c]
-                fg = cat_f[g, c]
-                union += fi if fi > fg else fg
-            lp_g = np.log2(cat_k[g] * cat_k[g] - cat_k[g])
-            e_g = lp_g - np.log2(2.0 * cat_m[g])
-            e_pair = 0.5 * (lp_i + lp_g) - np.log2(2.0 * union)
-            d = max(e_i, e_g) - e_pair
-            if d < best - 1e-12:
-                best = d
-                besti = g
-        labels[i] = besti
-        dists[i] = best
-    return labels, dists
-
-
-# ---------------------------------------------------------------------------
-# numpy fallbacks (same signatures, used when numba is unavailable/disabled)
-# ---------------------------------------------------------------------------
-
-def _np_neighbour_pairs(pos, box, periodic, rcut):
-    n = len(pos)
-    adjacency = [[] for _ in range(n)]
-    if periodic:
-        inv = np.linalg.inv(box)
-        chunk = max(1, int(4e6 // max(n, 1)))
-        for lo in range(0, n, chunk):
-            hi = min(n, lo + chunk)
-            d = pos[lo:hi, None, :] - pos[None, :, :]
-            f = d @ inv
-            f -= np.rint(f)
-            d = f @ box
-            r2 = (d ** 2).sum(-1)
-            for a in range(hi - lo):
-                r2[a, lo + a] = np.inf
-            ii, jj = np.nonzero(r2 <= rcut * rcut)
-            for a, j in zip(ii, jj):
-                adjacency[lo + a].append(j)
-    else:
-        chunk = max(1, int(4e6 // max(n, 1)))
-        for lo in range(0, n, chunk):
-            hi = min(n, lo + chunk)
-            d = pos[lo:hi, None, :] - pos[None, :, :]
-            r2 = (d ** 2).sum(-1)
-            for a in range(hi - lo):
-                r2[a, lo + a] = np.inf
-            ii, jj = np.nonzero(r2 <= rcut * rcut)
-            for a, j in zip(ii, jj):
-                adjacency[lo + a].append(j)
-    starts = np.zeros(n + 1, dtype=np.int64)
-    for i in range(n):
-        starts[i + 1] = starts[i] + len(adjacency[i])
-    idx = np.concatenate([np.sort(np.asarray(a, dtype=np.int64)) for a in adjacency]) \
-        if starts[-1] else np.zeros(0, dtype=np.int64)
-    return starts, idx
-
-
-def _np_count_clusters(vals, value_res):
     bounds = [t for t in range(1, len(vals)) if vals[t] - vals[t - 1] > value_res]
     far = 2.0 * value_res
     while bounds:
@@ -302,37 +170,60 @@ def _np_count_clusters(vals, value_res):
     return len(bounds) + 1
 
 
-def _np_profile_particles(pos, box, periodic, starts, idx, edges, nclasses,
-                          value_res):
+def profile_particles(pos, box, periodic, starts, idx, edges,
+                      value_res=VALUE_RESOLUTION):
+    """Bond-angle profile of every particle: (k, m, per-class angle counts).
+
+    Measured angles are sorted and binned; within each bin the number of
+    distinct angles comes from _count_clusters.  A zero-length bond (two
+    coincident particles) raises ValueError.
+    """
+    pos = np.ascontiguousarray(pos, dtype=np.float64)
+    edges = np.ascontiguousarray(edges, dtype=np.float64)
     n = len(pos)
-    kk = np.diff(starts)
+    kk = np.diff(starts).astype(np.int64)
     mm = np.zeros(n, dtype=np.int64)
-    fcounts = np.zeros((n, nclasses), dtype=np.int64)
+    fcounts = np.zeros((n, len(edges) + 1), dtype=np.int64)
     inv = np.linalg.inv(box) if periodic else None
     for i in range(n):
         k = kk[i]
-        if k < 2:
+        if k == 0:
             continue
-        vec = pos[idx[starts[i]:starts[i + 1]]] - pos[i]
+        nbrs = idx[starts[i]:starts[i + 1]]
+        vec = pos[nbrs] - pos[i]
         if periodic:
             f = vec @ inv
             f -= np.rint(f)
             vec = f @ box
-        vec = vec / np.linalg.norm(vec, axis=1)[:, None]
+        length = np.linalg.norm(vec, axis=1)
+        if not length.all():
+            raise ValueError(f"particle {i} coincides with particle "
+                             f"{nbrs[np.argmin(length)]} (zero-length bond)")
+        if k < 2:
+            continue
+        vec = vec / length[:, None]
         gram = np.clip(vec @ vec.T, -1.0, 1.0)
         iu = np.triu_indices(k, 1)
         ang = np.sort(np.degrees(np.arccos(gram[iu])))
         cls = np.searchsorted(edges, ang, side="left")
         m = 0
         for c in np.unique(cls):
-            nclus = _np_count_clusters(ang[cls == c], value_res)
+            nclus = _count_clusters(ang[cls == c], value_res)
             fcounts[i, c] += nclus
             m += nclus
         mm[i] = m
-    return kk.astype(np.int64), mm, fcounts
+    return kk, mm, fcounts
 
 
-def _np_classify_particles(kk, mm, fcounts, cat_k, cat_m, cat_f):
+def classify_particles(kk, mm, fcounts, cat_k, cat_m, cat_f):
+    """Label particles with the nearest catalog geometry (corrected union distance).
+
+    Returns catalog indices (-1 where k < 2) and distances (NaN there); ties
+    go to the lowest catalog index.
+    """
+    cat_k = np.asarray(cat_k, dtype=np.float64)
+    cat_m = np.asarray(cat_m, dtype=np.float64)
+    cat_f = np.asarray(cat_f, dtype=np.int64)
     n = len(kk)
     labels = np.full(n, -1, dtype=np.int64)
     dists = np.full(n, np.nan)
@@ -347,87 +238,7 @@ def _np_classify_particles(kk, mm, fcounts, cat_k, cat_m, cat_f):
         union = np.maximum(fcounts[i][None, :], cat_f).sum(axis=1)
         e_pair = 0.5 * (lp_i + lp_g) - np.log2(2.0 * union)
         d = np.maximum(e_i, e_g) - e_pair
-        besti = int(np.argmin(d))  # argmin takes the first (lowest catalog index) on ties
+        besti = int(np.argmin(d))
         labels[i] = besti
         dists[i] = d[besti]
     return labels, dists
-
-
-def neighbour_csr(pos, box, periodic, rcut):
-    """CSR neighbour lists within rcut (minimum image when periodic)."""
-    pos = np.ascontiguousarray(pos, dtype=np.float64)
-    if not HAVE_NUMBA:
-        return _np_neighbour_pairs(pos, box, periodic, rcut)
-    if periodic:
-        inv = np.linalg.inv(box)
-        frac = pos @ inv
-        frac -= np.floor(frac)
-        # perpendicular widths bound the safe cell size in fractional space
-        widths = _perpendicular_widths(box)
-        ncell = np.maximum((widths // rcut).astype(np.int64), 1)
-        ncell = np.minimum(ncell, 64)
-        if ncell.min() < 3:
-            # wrapped +/-1 stencil would revisit cells; brute force is exact here
-            return _np_neighbour_pairs(pos, box, periodic, rcut)
-    else:
-        lo = pos.min(axis=0) - 1e-9
-        span = np.maximum(pos.max(axis=0) - lo, 1e-9) + 2e-9
-        box = np.diag(span)
-        frac = (pos - lo) / span
-        ncell = np.maximum((span // rcut).astype(np.int64), 1)
-        ncell = np.minimum(ncell, 64)
-    ntot = int(ncell.prod())
-    cell_idx = np.minimum((frac * ncell).astype(np.int64), ncell - 1)
-    cell_of = cell_idx[:, 0] + ncell[0] * (cell_idx[:, 1] + ncell[1] * cell_idx[:, 2])
-    head = np.full(ntot, -1, dtype=np.int64)
-    nxt = np.full(len(pos), -1, dtype=np.int64)
-    for i in range(len(pos)):
-        c = cell_of[i]
-        nxt[i] = head[c]
-        head[c] = i
-    starts, idx = _neighbour_pairs_cells(frac, np.ascontiguousarray(box), periodic,
-                                         rcut, ncell, head, nxt, cell_of)
-    # sort each row so both backends emit identical adjacency
-    for i in range(len(pos)):
-        idx[starts[i]:starts[i + 1]].sort()
-    return starts, idx
-
-
-def _perpendicular_widths(box):
-    v = np.abs(np.linalg.det(box))
-    w = np.empty(3)
-    for i in range(3):
-        a = box[(i + 1) % 3]
-        b = box[(i + 2) % 3]
-        w[i] = v / np.linalg.norm(np.cross(a, b))
-    return w
-
-
-def profile_particles(pos, box, periodic, starts, idx, edges,
-                      value_res=VALUE_RESOLUTION):
-    """Bond-angle profile of every particle: (k, m, per-class angle counts)."""
-    pos = np.ascontiguousarray(pos, dtype=np.float64)
-    edges = np.ascontiguousarray(edges, dtype=np.float64)
-    nclasses = len(edges) + 1
-    if HAVE_NUMBA:
-        if periodic:
-            # rows 0-2: inverse(box) to go cartesian->fractional, rows 3-5: box
-            stacked = np.vstack([np.linalg.inv(box), box])
-            return _profile_particles(pos, np.ascontiguousarray(stacked), True,
-                                      starts, idx, edges, nclasses, value_res)
-        dummy = np.vstack([np.eye(3), np.eye(3)])
-        return _profile_particles(pos, dummy, False, starts, idx, edges,
-                                  nclasses, value_res)
-    b = box if periodic else np.eye(3)
-    return _np_profile_particles(pos, b, periodic, starts, idx, edges, nclasses,
-                                 value_res)
-
-
-def classify_particles(kk, mm, fcounts, cat_k, cat_m, cat_f):
-    """Label particles with the nearest catalog geometry."""
-    cat_k = np.asarray(cat_k, dtype=np.float64)
-    cat_m = np.asarray(cat_m, dtype=np.float64)
-    cat_f = np.ascontiguousarray(cat_f, dtype=np.int64)
-    if HAVE_NUMBA:
-        return _classify_particles(kk, mm, fcounts, cat_k, cat_m, cat_f)
-    return _np_classify_particles(kk, mm, fcounts, cat_k, cat_m, cat_f)

@@ -1,11 +1,13 @@
 """Particle snapshots: file I/O, neighbour search and per-particle structure.
 
-Neighbourhoods come from a cutoff search (cell lists, minimum image under a
-periodic box).  Each particle's bond angles are discretized with the catalog
-discretizer; the per-particle coefficient uses the number of distinct angle
-classes, and classification picks the nearest catalog geometry under the
-class-set distance (k and the set of angle classes only, which is what noisy
-data can support).
+Neighbourhoods come from a cutoff search (kernels.neighbour_csr: a numpy cell
+list, minimum image under a periodic box).  Each particle's bond angles are
+discretized with the catalog discretizer; the per-particle coefficient uses
+the number of distinct angle classes, and classification picks the nearest
+catalog geometry under the class-set distance (k and the set of angle classes
+only, which is what noisy data can support).  analyze_frame gives both from
+one profiling pass; per_particle_e and classify are views of the same pass.
+Coincident particles raise ValueError.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ __all__ = [
     "auto_cutoff",
     "per_particle_e",
     "classify",
+    "analyze_frame",
     "make_lattice",
 ]
 
@@ -160,8 +163,8 @@ def neighbours_cutoff(frame: Frame, r_cut: float,
                       method: str = "cell") -> NeighbourList:
     """All neighbours within r_cut (minimum image when the frame is periodic).
 
-    method="cell" uses the accelerated cell-list kernel, "brute" the O(N^2)
-    reference path; both return identical, sorted adjacency.
+    method="cell" uses the cell-list kernel, "brute" the O(N^2) reference
+    path; both return identical, sorted adjacency.
     """
     if r_cut <= 0:
         raise ValueError("r_cut must be positive")
@@ -241,6 +244,36 @@ def _edges_and_catalog(catalog, disc):
                    cat_f)
 
 
+def _profile(frame, nl, edges, value_resolution):
+    return kernels.profile_particles(
+        frame.positions, frame.box, frame.box is not None,
+        nl.starts, nl.indices, edges, value_resolution)
+
+
+def _coefficient(kk, mm):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e = np.log2((kk * kk - kk) / (2.0 * mm))
+    e[kk < 2] = np.nan
+    return e
+
+
+def analyze_frame(frame: Frame, nl: NeighbourList, catalog: Catalog,
+                  disc: Discretizer,
+                  value_resolution: float = kernels.VALUE_RESOLUTION):
+    """Coefficients and labels of every particle from one profiling pass.
+
+    Returns (e, k, m, labels, distances): per_particle_e gives the first
+    three, classify the last two.
+    """
+    edges, (cat_k, cat_m, cat_f) = _edges_and_catalog(catalog, disc)
+    kk, mm, fcounts = _profile(frame, nl, edges, value_resolution)
+    lab_idx, dists = kernels.classify_particles(kk, mm, fcounts, cat_k,
+                                                cat_m, cat_f)
+    codes = catalog.codes
+    labels = [codes[i] if i >= 0 else "-" for i in lab_idx]
+    return _coefficient(kk, mm), kk, mm, labels, dists
+
+
 def per_particle_e(frame: Frame, nl: NeighbourList, disc: Discretizer,
                    value_resolution: float = kernels.VALUE_RESOLUTION):
     """Per-particle coefficient (bits).
@@ -248,17 +281,11 @@ def per_particle_e(frame: Frame, nl: NeighbourList, disc: Discretizer,
     m counts the particle's distinct bond angles: measured values are
     discretized, and values inside one bin closer than value_resolution merge
     into one angle.  Particles with fewer than two neighbours get NaN and
-    m = 0 rather than being dropped.
+    m = 0 rather than being dropped.  Returns (e, k, m).
     """
-    periodic = frame.box is not None
-    kk, mm, _ = kernels.profile_particles(
-        frame.positions, frame.box if periodic else None, periodic,
-        nl.starts, nl.indices, np.asarray(disc.bin_edges, dtype=float),
-        value_resolution)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        e = np.log2((kk * kk - kk) / (2.0 * mm))
-    e[kk < 2] = np.nan
-    return e, kk, mm
+    edges = np.asarray(disc.bin_edges, dtype=float)
+    kk, mm, _ = _profile(frame, nl, edges, value_resolution)
+    return _coefficient(kk, mm), kk, mm
 
 
 def classify(frame: Frame, nl: NeighbourList, catalog: Catalog,
@@ -274,16 +301,7 @@ def classify(frame: Frame, nl: NeighbourList, catalog: Catalog,
     particles with k < 2; distances are in bits (NaN where undefined).
     Ties go to the lower catalog index.
     """
-    periodic = frame.box is not None
-    edges, (cat_k, cat_m, cat_f) = _edges_and_catalog(catalog, disc)
-    kk, mm, fcounts = kernels.profile_particles(
-        frame.positions, frame.box if periodic else None, periodic,
-        nl.starts, nl.indices, edges, value_resolution)
-    lab_idx, dists = kernels.classify_particles(kk, mm, fcounts, cat_k,
-                                                cat_m, cat_f)
-    codes = catalog.codes
-    labels = [codes[i] if i >= 0 else "-" for i in lab_idx]
-    return labels, dists
+    return analyze_frame(frame, nl, catalog, disc, value_resolution)[3:]
 
 
 _LATTICE_BASES = {

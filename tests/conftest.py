@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 import coordgeo as cg
@@ -22,13 +21,3 @@ def dmatrix(catalog, discretizer):
 @pytest.fixture(scope="session")
 def embedding(dmatrix):
     return cg.mds(dmatrix, dims=8, seed=0, restarts=20)
-
-
-@pytest.fixture(scope="session")
-def warm_kernels(catalog, discretizer):
-    # trigger JIT compilation once so per-test timings reflect steady state
-    frame = cg.make_lattice("sc", 3)
-    nl = cg.neighbours_cutoff(frame, 1.2)
-    cg.per_particle_e(frame, nl, discretizer)
-    cg.classify(frame, nl, catalog, discretizer)
-    return True

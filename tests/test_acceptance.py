@@ -178,7 +178,7 @@ def test_criterion_08_typicality(catalog, dmatrix):
           f"worst |dtau| vs published = {worst:.3f}, class averages to +-0.1")
 
 
-def test_criterion_09_snapshots(catalog, discretizer, warm_kernels):
+def test_criterion_09_snapshots(catalog, discretizer):
     worst_noisy = 1.0
     for kind, rcut, nn in (("fcc", 0.85, 2 ** -0.5),
                            ("bcc", 1.2, math.sqrt(3.0) / 2.0),

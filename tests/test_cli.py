@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+import coordgeo as cg
+from coordgeo import kernels
 from coordgeo.cli import main
-from coordgeo.snapshot import make_lattice, write_frames
+from coordgeo.snapshot import Frame, make_lattice, write_frames
 
 
 def _run(args):
@@ -112,6 +114,47 @@ def test_analyze_auto_cutoff(tmp_path):
     # RDF-minimum cutoff must sit between the 1st and 2nd FCC shells
     assert 2 ** -0.5 < summary[0]["r_cut"] < 1.0
     assert summary[0]["labels"].get("FCC", 0) >= 0.95 * frame.n
+
+
+def test_analyze_profiles_each_frame_once(tmp_path, monkeypatch, catalog,
+                                          discretizer):
+    frames = [make_lattice("fcc", 3, noise=0.01, seed=1),
+              make_lattice("fcc", 3, noise=0.03, seed=2)]
+    xyz = tmp_path / "two.extxyz"
+    write_frames(xyz, frames)
+    calls = []
+    profile = kernels.profile_particles
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return profile(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "profile_particles", counted)
+    out = tmp_path / "pp.csv"
+    assert _run(["analyze", str(xyz), "--rcut", "0.85", "--out", str(out)]) == 0
+    assert len(calls) == 2
+    monkeypatch.undo()
+    expect = ["frame,id,k,m,e,label,d_e"]
+    for fi, frame in enumerate(cg.read_frames(xyz)):
+        nl = cg.neighbours_cutoff(frame, 0.85)
+        e, kk, mm = cg.per_particle_e(frame, nl, discretizer)
+        labels, dists = cg.classify(frame, nl, catalog, discretizer)
+        for i in range(frame.n):
+            expect.append(f"{fi},{i},{kk[i]},{mm[i]},{e[i]:.6f},{labels[i]},"
+                          f"{dists[i]:.6f}")
+    assert out.read_text().splitlines() == expect
+
+
+def test_analyze_coincident_particles_fail(tmp_path, capsys):
+    frame = make_lattice("fcc", 3)
+    dup = Frame(positions=np.vstack([frame.positions, frame.positions[:1]]),
+                box=frame.box)
+    xyz = tmp_path / "dup.extxyz"
+    write_frames(xyz, [dup])
+    out = tmp_path / "pp.csv"
+    assert _run(["analyze", str(xyz), "--rcut", "0.85", "--out", str(out)]) == 1
+    assert "error: particle 0 coincides with particle 108" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_analyze_missing_file(tmp_path, capsys):

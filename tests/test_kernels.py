@@ -1,95 +1,63 @@
-"""Backend equivalence: the numba kernels and the numpy fallbacks must agree."""
+"""Kernels: the cell list against the brute-force reference, profile invariants."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-import coordgeo as cg
 from coordgeo import kernels
 from coordgeo.snapshot import _edges_and_catalog, make_lattice
 
 
-def _numba_importable():
-    try:
-        import numba  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
 @pytest.fixture(scope="module")
 def setup(catalog, discretizer):
-    # 3 x 5 x 5 cells at rcut 1.2, so the cell-list kernel runs (not the
-    # brute-force fallback for boxes under 3 cells per axis)
+    # 3 x 5 x 5 cells at rcut 1.2, so the cell list runs (not the brute force
+    # kept for boxes under 3 cells per axis)
     fr = make_lattice("hcp", 4, noise=0.004, seed=4)
     edges, cat = _edges_and_catalog(catalog, discretizer)
     return fr, edges, cat
 
 
-# The first call of each parity test sets HAVE_NUMBA so that the @njit
-# sources run: JIT-compiled where numba is installed, as plain Python under
-# the identity njit shim where it is not.  Either way they are compared with
-# the _np_* fallbacks, which do not depend on the flag.
+def _cell_list_vs_brute(pos, box, periodic, rcut):
+    """neighbour_csr and the brute force on one frame; True if the cell list ran."""
+    with mock.patch.object(kernels, "_np_neighbour_pairs",
+                           wraps=kernels._np_neighbour_pairs) as brute:
+        s1, i1 = kernels.neighbour_csr(pos, box, periodic, rcut)
+    s2, i2 = kernels._np_neighbour_pairs(pos, box, periodic, rcut)
+    assert np.array_equal(s1, s2)
+    assert np.array_equal(i1, i2)
+    return not brute.called
 
-def test_neighbour_backends_agree(setup, monkeypatch):
+
+def test_neighbour_backends_agree(setup):
     fr, _, _ = setup
-    for periodic in (True, False):
-        with monkeypatch.context() as m:
-            m.setattr(kernels, "HAVE_NUMBA", True)
-            s1, i1 = kernels.neighbour_csr(fr.positions, fr.box, periodic, 1.2)
-        s2, i2 = kernels._np_neighbour_pairs(fr.positions, fr.box, periodic, 1.2)
-        assert np.array_equal(s1, s2), periodic
-        assert np.array_equal(i1, i2), periodic
+    # the open frame spans 3.5 along x, so 3 cells need rcut < 3.5 / 3
+    for periodic, rcut in ((True, 1.2), (False, 1.1)):
+        assert _cell_list_vs_brute(fr.positions, fr.box, periodic, rcut), periodic
 
 
-def test_profile_backends_agree(setup, monkeypatch):
-    fr, edges, _ = setup
-    for periodic in (True, False):
-        starts, idx = kernels._np_neighbour_pairs(fr.positions, fr.box,
-                                                  periodic, 1.2)
-        with monkeypatch.context() as m:
-            m.setattr(kernels, "HAVE_NUMBA", True)
-            k1, m1, f1 = kernels.profile_particles(fr.positions, fr.box,
-                                                   periodic, starts, idx, edges)
-        box = fr.box if periodic else np.eye(3)
-        k2, m2, f2 = kernels._np_profile_particles(fr.positions, box, periodic,
-                                                   starts, idx, edges,
-                                                   len(edges) + 1,
-                                                   kernels.VALUE_RESOLUTION)
-        assert np.array_equal(k1, k2), periodic
-        assert np.array_equal(m1, m2), periodic
-        assert np.array_equal(f1, f2), periodic
-
-
-def test_classify_backends_agree(setup, monkeypatch):
-    fr, edges, cat = setup
-    cat_k, cat_m, cat_f = cat
-    starts, idx = kernels.neighbour_csr(fr.positions, fr.box, True, 1.2)
-    kk, mm, fcounts = kernels.profile_particles(fr.positions, fr.box, True,
-                                                starts, idx, edges)
-    monkeypatch.setattr(kernels, "HAVE_NUMBA", True)
-    l1, d1 = kernels.classify_particles(kk, mm, fcounts, cat_k, cat_m, cat_f)
-    l2, d2 = kernels._np_classify_particles(kk, mm, fcounts,
-                                            cat_k.astype(float),
-                                            cat_m.astype(float), cat_f)
-    assert np.array_equal(l1, l2)
-    assert np.allclose(d1, d2, equal_nan=True)
-
-
-def test_env_flag_selects_backend():
-    """COORDGEO_NUMBA=0 forces the numpy fallback; 1 selects numba if it imports."""
-    import os
-    import subprocess
-    import sys
-
-    # the child imports the same coordgeo as this process, installed or not
-    root = os.path.dirname(os.path.dirname(cg.__file__))
-    path = os.pathsep.join(p for p in (root, os.environ.get("PYTHONPATH")) if p)
-    code = "import coordgeo.kernels as k; print(k.HAVE_NUMBA)"
-    for flag, expect in (("0", False), ("1", _numba_importable())):
-        env = dict(os.environ, COORDGEO_NUMBA=flag, PYTHONPATH=path)
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                             text=True, env=env)
-        assert out.stdout.strip() == str(expect), (flag, out.stderr)
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 150),
+       periodic=st.booleans(), cells=st.integers(2, 5),
+       slack=st.floats(0.01, 0.99), tilt=st.floats(-0.5, 0.5))
+def test_cell_list_equals_brute_force(seed, n, periodic, cells, slack, tilt):
+    """Triclinic boxes and open frames, on both sides of the 3-cell rule."""
+    rng = np.random.default_rng(seed)
+    lengths = rng.uniform(3.0, 8.0, size=3)
+    box = np.diag(lengths)
+    box[np.tril_indices(3, -1)] = tilt * lengths[0] * rng.uniform(-1, 1, 3)
+    # fractional positions partly outside [0, 1), so wrapping is exercised
+    pos = rng.uniform(-0.3, 1.3, size=(n, 3)) @ box
+    if periodic:
+        width = kernels._perpendicular_widths(box).min()
+    else:
+        width = float(np.ptp(pos, axis=0).min())
+    assume(width > 0.0)
+    # the narrowest axis gets `cells` cells of at least rcut
+    rcut = width / (cells + slack)
+    assert _cell_list_vs_brute(pos, box, periodic, rcut) == (cells >= 3)
 
 
 def test_profile_counts_sum_to_m(setup):

@@ -96,7 +96,7 @@ def test_cell_equals_brute_random():
         assert np.array_equal(a.indices, b.indices)
 
 
-def test_per_particle_e_ideal_lattices(catalog, discretizer, warm_kernels):
+def test_per_particle_e_ideal_lattices(catalog, discretizer):
     for kind, rcut, expect in (("fcc", 0.85, 4.044), ("hcp", 1.2, 3.459),
                                ("bcc", 1.2, 3.923), ("sc", 1.2, 2.907)):
         fr = make_lattice(kind, 3)
@@ -115,7 +115,7 @@ def test_per_particle_low_k_flagged(discretizer):
     assert kk.tolist() == [1, 1]
 
 
-def test_classify_ideal_lattices(catalog, discretizer, warm_kernels):
+def test_classify_ideal_lattices(catalog, discretizer):
     for kind, rcut in (("fcc", 0.85), ("bcc", 1.2), ("sc", 1.2), ("hcp", 1.2)):
         fr = make_lattice(kind, 4)
         nl = neighbours_cutoff(fr, rcut)
@@ -125,8 +125,7 @@ def test_classify_ideal_lattices(catalog, discretizer, warm_kernels):
 
 
 @pytest.mark.parametrize("code", cg.CODES)
-def test_classify_isolated_ideal_neighbourhood(catalog, discretizer, code,
-                                               warm_kernels):
+def test_classify_isolated_ideal_neighbourhood(catalog, discretizer, code):
     g = catalog.get(code)
     pos = np.vstack([[0.0, 0.0, 0.0], g.vertices])
     rmax = float(np.linalg.norm(g.vertices, axis=1).max())
@@ -137,13 +136,24 @@ def test_classify_isolated_ideal_neighbourhood(catalog, discretizer, code,
     assert dists[0] == 0.0
 
 
-def test_noisy_fcc_majority(catalog, discretizer, warm_kernels):
+def test_noisy_fcc_majority(catalog, discretizer):
     nn = 1.0 / math.sqrt(2.0)
     fr = make_lattice("fcc", 4, noise=0.01 * nn / math.sqrt(3.0), seed=9)
     nl = neighbours_cutoff(fr, 0.85)
     labels, _ = classify(fr, nl, catalog, discretizer)
     frac = sum(1 for s in labels if s == "FCC") / fr.n
     assert frac >= 0.95
+
+
+def test_coincident_particles_rejected(catalog, discretizer):
+    fr = make_lattice("fcc", 3)
+    pos = np.vstack([fr.positions, fr.positions[5]])
+    dup = Frame(positions=pos, box=fr.box)
+    nl = neighbours_cutoff(dup, 0.85)
+    with pytest.raises(ValueError, match="particle 5 coincides with particle 108"):
+        per_particle_e(dup, nl, discretizer)
+    with pytest.raises(ValueError, match="particle 5 coincides"):
+        classify(dup, nl, catalog, discretizer)
 
 
 def test_auto_cutoff_fcc():
