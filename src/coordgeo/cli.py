@@ -74,7 +74,7 @@ def _pipeline(cfg: RunConfig):
 
 
 def _write(path, text):
-    if path is None:
+    if path is None or path == "-":
         sys.stdout.write(text)
     else:
         Path(path).write_text(text)
@@ -199,7 +199,7 @@ def cmd_analyze(args):
     all_lines = ["frame,id,k,m,e,label,d_e"]
     summary = []
     for fi, frame in enumerate(frames):
-        rcut = args.rcut if args.rcut else auto_cutoff(frame)
+        rcut = args.rcut if args.rcut is not None else auto_cutoff(frame)
         nl = neighbours_cutoff(frame, rcut)
         e, kk, mm, labels, dists = analyze_frame(frame, nl, catalog, disc)
         hist = {}

@@ -1,9 +1,9 @@
 """Hot numeric kernels: neighbour search, per-particle angle profiling, classification.
 
 Each kernel has one numpy implementation.  Neighbour search is a vectorised
-cell list (Allen & Tildesley, Computer Simulation of Liquids, sec. 5.3); the
-O(N^2) brute force stays as its reference and serves frames with fewer than
-three cells on some axis.
+cell list (Allen & Tildesley, Computer Simulation of Liquids, sec. 5.3) for
+every box, thin slabs and open frames included; the O(N^2) brute force stays
+only as its test reference.
 """
 
 import numpy as np
@@ -18,9 +18,6 @@ VALUE_RESOLUTION = 1.2
 
 _MAX_CELLS = 64          # per axis; larger cells stay correct, only slower
 _PAIR_BUDGET = 1_000_000  # candidate pairs held in memory at once
-# the 27 cell offsets around a cell, each a (dx, dy, dz) row
-_STENCIL = np.stack(np.meshgrid([-1, 0, 1], [-1, 0, 1], [-1, 0, 1],
-                                indexing="ij"), axis=-1).reshape(-1, 3)
 
 
 def _dot3(u, v):
@@ -67,9 +64,9 @@ def neighbour_csr(pos, box, periodic, rcut):
     """CSR neighbour lists within rcut (minimum image when periodic).
 
     Particles are sorted by cell; the candidates of a particle are the members
-    of the 27 cells around its own, kept if within rcut.  Output equals
-    _np_neighbour_pairs, which runs instead when some axis has fewer than 3
-    cells (there the wrapped stencil would visit one cell twice).
+    of the stencil cells around its own, kept if within rcut.  A periodic axis
+    with fewer than 3 cells visits each of its cells once (offsets -1, 0, 1
+    would wrap onto one cell twice).  Output equals _np_neighbour_pairs.
     """
     pos = np.ascontiguousarray(pos, dtype=np.float64)
     n = len(pos)
@@ -86,21 +83,21 @@ def neighbour_csr(pos, box, periodic, rcut):
         span = pos.max(axis=0) - lo
         ncell = span // cell_len
         frac = (pos - lo) / np.maximum(span, np.finfo(float).tiny)
-    if ncell.min() < 3:
-        return _np_neighbour_pairs(pos, box, periodic, rcut)
-    ncell = np.minimum(ncell, _MAX_CELLS).astype(np.int64)
+    ncell = np.clip(ncell, 1, _MAX_CELLS).astype(np.int64)
+    offsets = [range(c) if periodic and c < 3 else (-1, 0, 1) for c in ncell]
+    stencil = np.stack(np.meshgrid(*offsets, indexing="ij"), axis=-1).reshape(-1, 3)
     cell = np.minimum((frac * ncell).astype(np.int64), ncell - 1)
     cid = _flat(cell, ncell)
     order = np.argsort(cid, kind="stable")
     members = np.bincount(cid, minlength=int(ncell.prod()))
     first = np.cumsum(members) - members
-    chunk = max(1, _PAIR_BUDGET // (len(_STENCIL) * int(members.max())))
+    chunk = max(1, _PAIR_BUDGET // (len(stencil) * int(members.max())))
     counts = np.zeros(n, dtype=np.int64)
     idx = []
     for lo in range(0, n, chunk):
         hi = min(n, lo + chunk)
         # the stencil cells of each particle and the candidates each holds
-        near = cell[lo:hi, None, :] + _STENCIL
+        near = cell[lo:hi, None, :] + stencil
         if periodic:
             near %= ncell
             inside = True
@@ -109,7 +106,7 @@ def neighbour_csr(pos, box, periodic, rcut):
             near = np.clip(near, 0, ncell - 1)
         near = _flat(near, ncell).ravel()
         size = np.where(inside, members[near].reshape(hi - lo, -1), 0).ravel()
-        i = np.repeat(np.arange(lo, hi), len(_STENCIL))
+        i = np.repeat(np.arange(lo, hi), len(stencil))
         i = np.repeat(i, size)
         ends = np.cumsum(size)
         j = order[np.arange(ends[-1]) + np.repeat(first[near] - ends + size, size)]
@@ -138,19 +135,20 @@ def _perpendicular_widths(box):
     return w
 
 
-def _count_clusters(vals, value_res):
+def _count_clusters(vals):
     """Distinct-angle clusters among the sorted values of one bin.
 
-    Values chain-merge when consecutive gaps stay within value_res.  A
+    Values chain-merge when consecutive gaps stay within VALUE_RESOLUTION.  A
     cluster needs at least three members, or a separation of more than twice
-    value_res from its neighbours, to count as its own distinct angle;
+    VALUE_RESOLUTION from its neighbours, to count as its own distinct angle;
     smaller nearby clusters are measurement tails and fold into the nearest
     neighbour.  (Every same-bin splitting among the reference geometries has
     multiplicity >= 4 or separation >= 4 degrees, so ideal neighbourhoods are
     never over-merged.)
     """
-    bounds = [t for t in range(1, len(vals)) if vals[t] - vals[t - 1] > value_res]
-    far = 2.0 * value_res
+    bounds = [t for t in range(1, len(vals))
+              if vals[t] - vals[t - 1] > VALUE_RESOLUTION]
+    far = 2.0 * VALUE_RESOLUTION
     while bounds:
         best = None
         prev = 0
@@ -170,8 +168,7 @@ def _count_clusters(vals, value_res):
     return len(bounds) + 1
 
 
-def profile_particles(pos, box, periodic, starts, idx, edges,
-                      value_res=VALUE_RESOLUTION):
+def profile_particles(pos, box, periodic, starts, idx, edges):
     """Bond-angle profile of every particle: (k, m, per-class angle counts).
 
     Measured angles are sorted and binned; within each bin the number of
@@ -208,7 +205,7 @@ def profile_particles(pos, box, periodic, starts, idx, edges,
         cls = np.searchsorted(edges, ang, side="left")
         m = 0
         for c in np.unique(cls):
-            nclus = _count_clusters(ang[cls == c], value_res)
+            nclus = _count_clusters(ang[cls == c])
             fcounts[i, c] += nclus
             m += nclus
         mm[i] = m
@@ -229,16 +226,14 @@ def classify_particles(kk, mm, fcounts, cat_k, cat_m, cat_f):
     dists = np.full(n, np.nan)
     lp_g = np.log2(cat_k * cat_k - cat_k)
     e_g = lp_g - np.log2(2.0 * cat_m)
-    for i in range(n):
-        k = int(kk[i])
-        if k < 2:
-            continue
-        lp_i = np.log2(k * k - k)
-        e_i = lp_i - np.log2(2.0 * mm[i])
-        union = np.maximum(fcounts[i][None, :], cat_f).sum(axis=1)
-        e_pair = 0.5 * (lp_i + lp_g) - np.log2(2.0 * union)
-        d = np.maximum(e_i, e_g) - e_pair
-        besti = int(np.argmin(d))
-        labels[i] = besti
-        dists[i] = d[besti]
+    sel = np.flatnonzero(kk >= 2)
+    k, f = kk[sel], fcounts[sel]
+    lp_i = np.log2(k * k - k)
+    e_i = lp_i - np.log2(2.0 * mm[sel])
+    # one catalog row at a time: no (particles, rows, classes) temporary
+    union = np.stack([np.maximum(f, row).sum(axis=1) for row in cat_f], axis=1)
+    e_pair = 0.5 * (lp_i[:, None] + lp_g) - np.log2(2.0 * union)
+    d = np.maximum(e_i[:, None], e_g) - e_pair
+    labels[sel] = np.argmin(d, axis=1)
+    dists[sel] = d[np.arange(len(sel)), labels[sel]]
     return labels, dists

@@ -1,7 +1,8 @@
 """Particle snapshots: file I/O, neighbour search and per-particle structure.
 
 Neighbourhoods come from a cutoff search (kernels.neighbour_csr: a numpy cell
-list, minimum image under a periodic box).  Each particle's bond angles are
+list for every box, minimum image under a periodic box) at a given cutoff or
+at the first RDF minimum (auto_cutoff).  Each particle's bond angles are
 discretized with the catalog discretizer; the per-particle coefficient uses
 the number of distinct angle classes, and classification picks the nearest
 catalog geometry under the class-set distance (k and the set of angle classes
@@ -21,6 +22,8 @@ from . import kernels
 from .angles import Discretizer
 from .catalog import Catalog
 from .coefficients import descriptor
+
+RDF_BINS = 200  # auto_cutoff's histogram bins
 
 __all__ = [
     "Frame",
@@ -186,37 +189,35 @@ def neighbours_cutoff(frame: Frame, r_cut: float,
     return NeighbourList(starts=starts, indices=idx, cutoff=float(r_cut))
 
 
-def auto_cutoff(frame: Frame, nbins: int = 200) -> float:
+def auto_cutoff(frame: Frame) -> float:
     """Cutoff at the first minimum of the radial distribution function.
+
+    Pair distances up to half the box width (half the diagonal of an open
+    frame) are binned straight from row chunks of all pairs.
 
     Structures whose first two shells nearly coincide (the 8+6 split of a
     body-centred cubic crystal, for instance) keep a genuine RDF minimum
     between those shells; pass an explicit cutoff to treat them as one
     coordination shell.
     """
-    if frame.box is not None:
-        rmax = 0.499 * kernels._perpendicular_widths(frame.box).min()
+    pos, box = frame.positions, frame.box
+    if box is not None:
+        rmax = 0.499 * kernels._perpendicular_widths(box).min()
     else:
-        span = frame.positions.max(axis=0) - frame.positions.min(axis=0)
+        span = pos.max(axis=0) - pos.min(axis=0)
         rmax = max(float(np.linalg.norm(span)) / 2.0, 1e-9)
-    nl = neighbours_cutoff(frame, rmax)
-    dists = []
-    inv = np.linalg.inv(frame.box) if frame.box is not None else None
-    for i in range(frame.n):
-        js = nl.neighbours(i)
-        js = js[js > i]
-        if len(js) == 0:
-            continue
-        d = frame.positions[js] - frame.positions[i]
-        if inv is not None:
-            f = d @ inv
-            f -= np.rint(f)
-            d = f @ frame.box
-        dists.append(np.linalg.norm(d, axis=1))
-    if not dists:
+    inv = np.linalg.inv(box) if box is not None else None
+    cols = np.arange(frame.n)
+    chunk = max(1, int(4e6 // frame.n))
+    hist = np.zeros(RDF_BINS, dtype=np.int64)
+    for lo in range(0, frame.n, chunk):
+        rows = cols[lo:lo + chunk, None]
+        r2 = kernels._pair_r2(pos, rows, cols[None, :], box, inv)
+        r2 = r2[(cols > rows) & (r2 <= rmax * rmax)]
+        hist += np.histogram(np.sqrt(r2), RDF_BINS, range=(0.0, rmax))[0]
+    if not hist.any():
         raise ValueError("no pairs found; cannot estimate a cutoff")
-    r = np.concatenate(dists)
-    hist, edges = np.histogram(r, bins=nbins, range=(0.0, rmax))
+    edges = np.linspace(0.0, rmax, RDF_BINS + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
     g = hist / np.maximum(centers ** 2, 1e-12)  # shell-volume normalization
     kernel = np.ones(5) / 5.0
@@ -244,10 +245,10 @@ def _edges_and_catalog(catalog, disc):
                    cat_f)
 
 
-def _profile(frame, nl, edges, value_resolution):
+def _profile(frame, nl, edges):
     return kernels.profile_particles(
         frame.positions, frame.box, frame.box is not None,
-        nl.starts, nl.indices, edges, value_resolution)
+        nl.starts, nl.indices, edges)
 
 
 def _coefficient(kk, mm):
@@ -258,15 +259,14 @@ def _coefficient(kk, mm):
 
 
 def analyze_frame(frame: Frame, nl: NeighbourList, catalog: Catalog,
-                  disc: Discretizer,
-                  value_resolution: float = kernels.VALUE_RESOLUTION):
+                  disc: Discretizer):
     """Coefficients and labels of every particle from one profiling pass.
 
     Returns (e, k, m, labels, distances): per_particle_e gives the first
     three, classify the last two.
     """
     edges, (cat_k, cat_m, cat_f) = _edges_and_catalog(catalog, disc)
-    kk, mm, fcounts = _profile(frame, nl, edges, value_resolution)
+    kk, mm, fcounts = _profile(frame, nl, edges)
     lab_idx, dists = kernels.classify_particles(kk, mm, fcounts, cat_k,
                                                 cat_m, cat_f)
     codes = catalog.codes
@@ -274,34 +274,34 @@ def analyze_frame(frame: Frame, nl: NeighbourList, catalog: Catalog,
     return _coefficient(kk, mm), kk, mm, labels, dists
 
 
-def per_particle_e(frame: Frame, nl: NeighbourList, disc: Discretizer,
-                   value_resolution: float = kernels.VALUE_RESOLUTION):
+def per_particle_e(frame: Frame, nl: NeighbourList, disc: Discretizer):
     """Per-particle coefficient (bits).
 
     m counts the particle's distinct bond angles: measured values are
-    discretized, and values inside one bin closer than value_resolution merge
-    into one angle.  Particles with fewer than two neighbours get NaN and
-    m = 0 rather than being dropped.  Returns (e, k, m).
+    discretized, and values inside one bin closer than
+    kernels.VALUE_RESOLUTION merge into one angle.  Particles with fewer than
+    two neighbours get NaN and m = 0 rather than being dropped.  Returns
+    (e, k, m).
     """
     edges = np.asarray(disc.bin_edges, dtype=float)
-    kk, mm, _ = _profile(frame, nl, edges, value_resolution)
+    kk, mm, _ = _profile(frame, nl, edges)
     return _coefficient(kk, mm), kk, mm
 
 
 def classify(frame: Frame, nl: NeighbourList, catalog: Catalog,
-             disc: Discretizer,
-             value_resolution: float = kernels.VALUE_RESOLUTION):
+             disc: Discretizer):
     """Nearest catalog geometry per particle under the corrected distance.
 
     Each particle's descriptor is its bond count plus the per-class counts of
     its distinct measured angles; distinctness within a bin uses
-    value_resolution, which separates geometries whose class sets coincide
-    (HCP and BPP, for instance) while staying insensitive to thermal noise.
+    kernels.VALUE_RESOLUTION, which separates geometries whose class sets
+    coincide (HCP and BPP, for instance) while staying insensitive to thermal
+    noise.
     Returns (labels, distances): labels are geometry codes, or "-" for
     particles with k < 2; distances are in bits (NaN where undefined).
     Ties go to the lower catalog index.
     """
-    return analyze_frame(frame, nl, catalog, disc, value_resolution)[3:]
+    return analyze_frame(frame, nl, catalog, disc)[3:]
 
 
 _LATTICE_BASES = {

@@ -45,6 +45,16 @@ def test_distances_csv(tmp_path):
     assert np.allclose(np.diag(mat), 0.0)
 
 
+def test_distances_to_stdout(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "d.csv"
+    assert _run(["distances", "--out", str(out)]) == 0
+    capsys.readouterr()
+    monkeypatch.chdir(tmp_path)
+    assert _run(["distances", "--out", "-"]) == 0
+    assert capsys.readouterr().out == out.read_text()
+    assert not (tmp_path / "-").exists()
+
+
 def test_tree_newick_and_dot(tmp_path):
     out = tmp_path / "t.nwk"
     dot = tmp_path / "t.dot"
@@ -154,6 +164,15 @@ def test_analyze_coincident_particles_fail(tmp_path, capsys):
     out = tmp_path / "pp.csv"
     assert _run(["analyze", str(xyz), "--rcut", "0.85", "--out", str(out)]) == 1
     assert "error: particle 0 coincides with particle 108" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_analyze_zero_rcut_fails(tmp_path, capsys):
+    xyz = tmp_path / "fcc.extxyz"
+    write_frames(xyz, [make_lattice("fcc", 3)])
+    out = tmp_path / "pp.csv"
+    assert _run(["analyze", str(xyz), "--rcut", "0", "--out", str(out)]) == 1
+    assert "error: r_cut must be positive" in capsys.readouterr().err
     assert not out.exists()
 
 

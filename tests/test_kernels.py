@@ -1,4 +1,5 @@
-"""Kernels: the cell list against the brute-force reference, profile invariants."""
+"""Kernels: the cell list against the brute-force reference, profile invariants,
+classification against a per-particle reference loop."""
 
 from unittest import mock
 
@@ -13,37 +14,39 @@ from coordgeo.snapshot import _edges_and_catalog, make_lattice
 
 @pytest.fixture(scope="module")
 def setup(catalog, discretizer):
-    # 3 x 5 x 5 cells at rcut 1.2, so the cell list runs (not the brute force
-    # kept for boxes under 3 cells per axis)
+    # 3 x 5 x 5 cells at rcut 1.2
     fr = make_lattice("hcp", 4, noise=0.004, seed=4)
     edges, cat = _edges_and_catalog(catalog, discretizer)
     return fr, edges, cat
 
 
 def _cell_list_vs_brute(pos, box, periodic, rcut):
-    """neighbour_csr and the brute force on one frame; True if the cell list ran."""
+    """neighbour_csr equals the brute force, which it never calls."""
     with mock.patch.object(kernels, "_np_neighbour_pairs",
                            wraps=kernels._np_neighbour_pairs) as brute:
         s1, i1 = kernels.neighbour_csr(pos, box, periodic, rcut)
+    assert not brute.called
     s2, i2 = kernels._np_neighbour_pairs(pos, box, periodic, rcut)
     assert np.array_equal(s1, s2)
     assert np.array_equal(i1, i2)
-    return not brute.called
 
 
 def test_neighbour_backends_agree(setup):
     fr, _, _ = setup
-    # the open frame spans 3.5 along x, so 3 cells need rcut < 3.5 / 3
+    # the open frame spans 3.5 along x: 3 cells there at rcut 1.1
     for periodic, rcut in ((True, 1.2), (False, 1.1)):
-        assert _cell_list_vs_brute(fr.positions, fr.box, periodic, rcut), periodic
+        _cell_list_vs_brute(fr.positions, fr.box, periodic, rcut)
+    # a periodic slab two cells thick
+    slab = make_lattice("fcc", (6, 6, 2), noise=0.004, seed=5)
+    _cell_list_vs_brute(slab.positions, slab.box, True, 0.85)
 
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 150),
-       periodic=st.booleans(), cells=st.integers(2, 5),
+       periodic=st.booleans(), cells=st.integers(1, 5),
        slack=st.floats(0.01, 0.99), tilt=st.floats(-0.5, 0.5))
 def test_cell_list_equals_brute_force(seed, n, periodic, cells, slack, tilt):
-    """Triclinic boxes and open frames, on both sides of the 3-cell rule."""
+    """Triclinic boxes and open frames with 1 to 5 cells on the narrowest axis."""
     rng = np.random.default_rng(seed)
     lengths = rng.uniform(3.0, 8.0, size=3)
     box = np.diag(lengths)
@@ -57,7 +60,7 @@ def test_cell_list_equals_brute_force(seed, n, periodic, cells, slack, tilt):
     assume(width > 0.0)
     # the narrowest axis gets `cells` cells of at least rcut
     rcut = width / (cells + slack)
-    assert _cell_list_vs_brute(pos, box, periodic, rcut) == (cells >= 3)
+    _cell_list_vs_brute(pos, box, periodic, rcut)
 
 
 def test_profile_counts_sum_to_m(setup):
@@ -67,3 +70,67 @@ def test_profile_counts_sum_to_m(setup):
                                                 starts, idx, edges)
     assert np.array_equal(fcounts.sum(axis=1), mm)
     assert np.all(mm[kk >= 2] >= 1)
+
+
+def _classify_loop(kk, mm, fcounts, cat_k, cat_m, cat_f):
+    """Reference classify_particles: one particle at a time."""
+    cat_k = np.asarray(cat_k, dtype=np.float64)
+    cat_m = np.asarray(cat_m, dtype=np.float64)
+    cat_f = np.asarray(cat_f, dtype=np.int64)
+    n = len(kk)
+    labels = np.full(n, -1, dtype=np.int64)
+    dists = np.full(n, np.nan)
+    lp_g = np.log2(cat_k * cat_k - cat_k)
+    e_g = lp_g - np.log2(2.0 * cat_m)
+    for i in range(n):
+        k = int(kk[i])
+        if k < 2:
+            continue
+        lp_i = np.log2(k * k - k)
+        e_i = lp_i - np.log2(2.0 * mm[i])
+        union = np.maximum(fcounts[i][None, :], cat_f).sum(axis=1)
+        e_pair = 0.5 * (lp_i + lp_g) - np.log2(2.0 * union)
+        d = np.maximum(e_i, e_g) - e_pair
+        besti = int(np.argmin(d))
+        labels[i] = besti
+        dists[i] = d[besti]
+    return labels, dists
+
+
+def _assert_classify_as_loop(kk, mm, fcounts, cat):
+    labels, dists = kernels.classify_particles(kk, mm, fcounts, *cat)
+    ref_labels, ref_dists = _classify_loop(kk, mm, fcounts, *cat)
+    assert np.array_equal(labels, ref_labels)
+    assert dists.tobytes() == ref_dists.tobytes()
+
+
+def test_classify_equals_particle_loop(setup):
+    """Noisy and ideal lattices, thin-shell particles with k < 2, exact ties."""
+    _, edges, cat = setup
+    for kind, rcut, noise in (("fcc", 0.85, 0.0), ("bcc", 1.2, 0.0),
+                              ("sc", 1.2, 0.0), ("hcp", 1.2, 0.0),
+                              ("fcc", 0.85, 0.03), ("bcc", 0.9, 0.05)):
+        fr = make_lattice(kind, 3, noise=noise, seed=7)
+        starts, idx = kernels.neighbour_csr(fr.positions, fr.box, True, rcut)
+        kk, mm, fcounts = kernels.profile_particles(fr.positions, fr.box, True,
+                                                    starts, idx, edges)
+        _assert_classify_as_loop(kk, mm, fcounts, cat)
+    # small random descriptors, k of 0 and 1 among them
+    rng = np.random.default_rng(3)
+    kk = rng.integers(0, 15, size=400)
+    fcounts = rng.integers(0, 3, size=(400, len(edges) + 1))
+    fcounts[kk < 2] = 0
+    # exact ties: two catalog rows with equal k and m are equally far from
+    # the union of their class counts (for PBP and CTP no row is nearer)
+    cat_k, cat_m, cat_f = cat
+    pairs = [(g, h) for g in range(len(cat_k)) for h in range(g)
+             if cat_k[g] == cat_k[h] and cat_m[g] == cat_m[h]]
+    assert pairs
+    kk = np.concatenate([kk, [cat_k[g] for g, _ in pairs]])
+    fcounts = np.vstack([fcounts] + [np.maximum(cat_f[g], cat_f[h])
+                                     for g, h in pairs])
+    mm = fcounts.sum(axis=1)
+    labels, dists = kernels.classify_particles(kk, mm, fcounts, *cat)
+    assert np.array_equal(labels < 0, kk < 2)
+    assert (labels[-len(pairs):] == [h for _, h in pairs]).any()
+    _assert_classify_as_loop(kk, mm, fcounts, cat)

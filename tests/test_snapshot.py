@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import coordgeo as cg
+from coordgeo import kernels
 from coordgeo.snapshot import (Frame, auto_cutoff, classify, make_lattice,
                                neighbours_cutoff, per_particle_e, read_frames,
                                write_frames)
@@ -160,6 +161,68 @@ def test_auto_cutoff_fcc():
     fr = make_lattice("fcc", 5, noise=0.004, seed=1)
     rc = auto_cutoff(fr)
     assert 1.0 / math.sqrt(2.0) < rc < 1.0  # between first and second shells
+
+
+def _auto_cutoff_loop(frame):
+    """Reference auto_cutoff: a neighbour list at the full radius, then every
+    pair distance recomputed in a loop over particles."""
+    if frame.box is not None:
+        rmax = 0.499 * kernels._perpendicular_widths(frame.box).min()
+    else:
+        span = frame.positions.max(axis=0) - frame.positions.min(axis=0)
+        rmax = max(float(np.linalg.norm(span)) / 2.0, 1e-9)
+    nl = neighbours_cutoff(frame, rmax, method="brute")
+    dists = []
+    inv = np.linalg.inv(frame.box) if frame.box is not None else None
+    for i in range(frame.n):
+        js = nl.neighbours(i)
+        js = js[js > i]
+        if len(js) == 0:
+            continue
+        d = frame.positions[js] - frame.positions[i]
+        if inv is not None:
+            f = d @ inv
+            f -= np.rint(f)
+            d = f @ frame.box
+        dists.append(np.linalg.norm(d, axis=1))
+    if not dists:
+        raise ValueError("no pairs found; cannot estimate a cutoff")
+    r = np.concatenate(dists)
+    hist, edges = np.histogram(r, bins=200, range=(0.0, rmax))
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    g = hist / np.maximum(centers ** 2, 1e-12)
+    g = np.convolve(g, np.ones(5) / 5.0, mode="same")
+    peak = int(np.argmax(g))
+    for i in range(peak + 1, len(g) - 1):
+        if g[i] <= g[i - 1] and g[i] < g[i + 1]:
+            return float(centers[i])
+    return float(centers[min(peak + len(g) // 10, len(g) - 1)])
+
+
+def test_auto_cutoff_equals_particle_loop():
+    """Noisy lattices with and without their box, and random frames."""
+    frames = []
+    for kind, cells in (("fcc", 4), ("bcc", 5), ("hcp", 3), ("sc", 5)):
+        for noise in (0.01, 0.05):
+            fr = make_lattice(kind, cells, noise=noise, seed=2)
+            frames += [fr, Frame(positions=fr.positions)]
+    rng = np.random.default_rng(11)
+    for n in (2, 40, 300):
+        box = np.diag(rng.uniform(3.0, 6.0, size=3))
+        box[1, 0] = 0.4 * box[0, 0]
+        pos = rng.uniform(0.0, 1.0, size=(n, 3)) @ box
+        frames += [Frame(positions=pos, box=box), Frame(positions=pos)]
+    frames.append(Frame(positions=np.zeros((1, 3))))
+
+    def outcome(fn, fr):
+        try:
+            return fn(fr)
+        except ValueError as exc:  # no pair within the radius
+            return str(exc)
+
+    for fr in frames:
+        assert outcome(auto_cutoff, fr) == outcome(_auto_cutoff_loop, fr)
+    assert outcome(auto_cutoff, frames[-1]).startswith("no pairs found")
 
 
 def test_frame_validation():
