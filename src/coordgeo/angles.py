@@ -7,6 +7,9 @@ inherent angle, 0 is prepended by convention, and bin edges are placed in the
 gaps between consecutive clusters.  Placing edges in the gaps (rather than
 midway between cluster representatives) guarantees that every pooled value is
 binned with its own cluster even when clusters are lopsided.
+
+A geometry's angle profile is its vector f of per-class distinct-angle
+counts; with the bond count k it is the descriptor that d_E reads.
 """
 
 from __future__ import annotations
@@ -81,19 +84,14 @@ class AnglePool:
             raise ValueError("pool angles must lie in (0, 180]")
 
 
-def collect_pool(catalog: Catalog, weighting: str = "distinct") -> AnglePool:
-    """Pool the bond angles of the capping-reduced catalog geometries.
+def collect_pool(catalog: Catalog) -> AnglePool:
+    """Pool the distinct ideal bond angles of the capping-reduced catalog geometries.
 
-    weighting="distinct" (default) contributes each geometry's distinct ideal
-    angles once; "pairs" weights every value by its pair multiplicity.
+    Each geometry contributes each of its distinct ideal angles once.
     """
     vals, src = [], []
     for code in capping_reduced_set(catalog):
-        a = bond_angles(catalog.get(code).vertices)
-        if weighting == "distinct":
-            a = distinct_values(a)
-        elif weighting != "pairs":
-            raise ValueError(f"unknown weighting {weighting!r}")
+        a = distinct_values(bond_angles(catalog.get(code).vertices))
         vals.extend(float(x) for x in a)
         src.extend([code] * len(a))
     return AnglePool(values=np.array(vals), sources=tuple(src))
@@ -248,35 +246,39 @@ def discretize(angle: float, d: Discretizer) -> float:
 class AngleProfile:
     """Discretized angle content of one geometry.
 
-    theta holds the representatives of the classes hit by the geometry's
-    ideal angles; f counts, per class, how many distinct ideal values fall
-    into it (close yet unequal angles merged by the bins keep their own
-    count); m is the total number of distinct ideal angles, i.e. sum(f).
+    f[c] counts the distinct ideal angles that fall into angle class c, an
+    int array over all classes of the discretizer (close yet unequal angles
+    merged by one bin keep their own count); m = f.sum() is the number of
+    distinct ideal angles.  Measured particles have the same per-class count
+    vectors (kernels.profile_particles), so one d_E formula serves both.
     """
 
     geometry_code: str
-    theta: tuple
-    f: dict
-    m: int
-    class_indices: tuple = ()
+    f: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "f", np.asarray(self.f, dtype=np.int64))
+
+    def __eq__(self, other):
+        # the generated __eq__ would take the truth value of an array
+        return (isinstance(other, AngleProfile)
+                and self.geometry_code == other.geometry_code
+                and np.array_equal(self.f, other.f))
+
+    @property
+    def m(self) -> int:
+        return int(self.f.sum())
 
     @property
     def class_count(self) -> int:
-        return len(self.theta)
+        return int(np.count_nonzero(self.f))
 
 
 def profile(g: GeometrySpec, d: Discretizer) -> AngleProfile:
     """Profile of an ideal geometry under a discretizer."""
-    vals = distinct_values(bond_angles(g.vertices))
-    counts = {}
-    for v in vals:
-        c = int(d.classify(float(v)))
-        counts[c] = counts.get(c, 0) + 1
-    classes = tuple(sorted(counts))
-    theta = tuple(float(d.inherent_angles[c]) for c in classes)
-    fmap = {float(d.inherent_angles[c]): counts[c] for c in classes}
-    return AngleProfile(geometry_code=g.code, theta=theta, f=fmap,
-                        m=int(len(vals)), class_indices=classes)
+    cls = d.classify(distinct_values(bond_angles(g.vertices)))
+    return AngleProfile(geometry_code=g.code,
+                        f=np.bincount(cls, minlength=d.n_classes))
 
 
 @dataclass(frozen=True)

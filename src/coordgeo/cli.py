@@ -121,7 +121,7 @@ def cmd_tree(args):
     dendro = hierarchical_cluster(distance_matrix(catalog, disc))
     _write(args.out, dendro.newick() + "\n")
     if args.dot:
-        Path(args.dot).write_text(dendro.dot() + "\n")
+        _write(args.dot, dendro.dot() + "\n")
     return 0
 
 
@@ -142,16 +142,7 @@ def cmd_graph(args):
     cfg = _resolve_config(args)
     catalog, disc = _pipeline(cfg)
     dm = distance_matrix(catalog, disc)
-    if args.project_from:
-        # alternative: project a higher-dimensional embedding onto its two
-        # leading principal axes instead of re-optimizing in two dimensions
-        emb = mds(dm, dims=args.project_from, seed=cfg.seed,
-                  restarts=cfg.restarts)
-        centered = emb.coords - emb.coords.mean(axis=0)
-        _, _, vt = np.linalg.svd(centered, full_matrices=False)
-        coords2 = centered @ vt[:2].T
-    else:
-        coords2 = mds(dm, dims=2, seed=cfg.seed, restarts=cfg.restarts).coords
+    coords2 = mds(dm, dims=2, seed=cfg.seed, restarts=cfg.restarts).coords
     edges = sorted(delaunay_2d(coords2))
     lines = ["graph coordination_geometries {", "  layout=neato;"]
     for i, code in enumerate(dm.codes):
@@ -186,9 +177,11 @@ def cmd_inherent_angles(args):
     edges = [0.0] + [float(e) for e in disc.bin_edges] + [180.0]
     for j, ang in enumerate(disc.inherent_angles):
         lines.append(f"  {j:5d}  {ang:8.4f}  ({edges[j]:.4f}, {edges[j + 1]:.4f}]")
-    sys.stdout.write("\n".join(lines) + "\n")
+    # with --out - the JSON alone goes to stdout, so that it can be piped
+    if args.out != "-":
+        sys.stdout.write("\n".join(lines) + "\n")
     if args.out:
-        Path(args.out).write_text(disc.to_json() + "\n")
+        _write(args.out, disc.to_json() + "\n")
     return 0
 
 
@@ -270,11 +263,6 @@ def build_parser():
         _add_common(p)
         if name == "tree":
             p.add_argument("--dot", default=None, help="also write DOT here")
-        if name == "graph":
-            p.add_argument("--project-from", type=int, default=None,
-                           metavar="D",
-                           help="project a D-dimensional embedding instead of "
-                                "re-optimizing in two dimensions")
         p.set_defaults(fn=fn)
 
     p = sub.add_parser("analyze", help="classify particles in a trajectory")

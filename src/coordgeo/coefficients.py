@@ -8,6 +8,11 @@ sets.  In corrected mode the union counts, per angle class, the largest
 number of close-yet-unequal ideal angles any one particle merges into it;
 this keeps the union consistent with the per-particle distinct-angle counts
 and makes the induced distance vanish exactly on identical descriptors.
+
+A descriptor is a bond count k plus the per-class distinct-angle counts f
+(angles.AngleProfile); m = f.sum().  distances evaluates d_E over arrays of
+(k, f), and serves both the catalog distance matrix and the labels of
+measured particles; the scalar functions keep one descriptor at a time.
 """
 
 from __future__ import annotations
@@ -15,17 +20,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .angles import AngleProfile, Discretizer, profile as angle_profile
 from .catalog import GeometrySpec
 
 __all__ = [
     "ParticleDescriptor",
     "descriptor",
+    "descriptor_arrays",
     "e_one",
     "e_many",
     "check_upper_bound",
     "check_loose_bounds",
     "d_e",
+    "distances",
 ]
 
 _EQ_TOL = 1e-12
@@ -52,6 +61,13 @@ def descriptor(g: GeometrySpec, d: Discretizer) -> ParticleDescriptor:
     return ParticleDescriptor(k=g.k, profile=angle_profile(g, d))
 
 
+def descriptor_arrays(geometries, d: Discretizer):
+    """(k, f) of ideal geometries: bond counts and per-class count rows."""
+    k = np.array([g.k for g in geometries], dtype=np.int64)
+    f = np.array([angle_profile(g, d).f for g in geometries], dtype=np.int64)
+    return k, f
+
+
 def _log2_pairs(k: int) -> float:
     return math.log2(k * k - k)
 
@@ -62,20 +78,13 @@ def e_one(p: ParticleDescriptor) -> float:
 
 
 def _union_cardinality(parts, union_mode: str) -> int:
-    if union_mode == "raw":
-        classes = set()
-        for p in parts:
-            classes.update(p.profile.class_indices)
-        return len(classes)
+    # corrected: per class, the largest count any one part merges into it;
+    # raw: the number of classes any part hits
+    best = np.maximum.reduce([p.profile.f for p in parts])
     if union_mode == "corrected":
-        best: dict = {}
-        for p in parts:
-            prof = p.profile
-            for cls, rep in zip(prof.class_indices, prof.theta):
-                f = prof.f[rep]
-                if f > best.get(cls, 0):
-                    best[cls] = f
-        return sum(best.values())
+        return int(best.sum())
+    if union_mode == "raw":
+        return int(np.count_nonzero(best))
     raise ValueError(f"unknown union mode {union_mode!r}")
 
 
@@ -92,16 +101,6 @@ def e_many(parts, union_mode: str = "corrected") -> float:
     mean_log_pairs = sum(_log2_pairs(p.k) for p in parts) / len(parts)
     card = _union_cardinality(parts, union_mode)
     return mean_log_pairs - math.log2(2.0 * card)
-
-
-def _identical(parts) -> bool:
-    first = parts[0]
-    sig0 = (first.k, first.profile.class_indices,
-            tuple(sorted(first.profile.f.items())))
-    for p in parts[1:]:
-        if (p.k, p.profile.class_indices, tuple(sorted(p.profile.f.items()))) != sig0:
-            return False
-    return True
 
 
 def check_upper_bound(parts, union_mode: str = "corrected"):
@@ -137,3 +136,23 @@ def d_e(g: ParticleDescriptor, h: ParticleDescriptor,
     """
     single = max(e_many([g], union_mode), e_many([h], union_mode))
     return single - e_many([g, h], union_mode)
+
+
+def distances(ka, fa, kb, fb) -> np.ndarray:
+    """d_E under the corrected union between every pair of two descriptor sets.
+
+    ka (A,) and kb (B,) are bond counts, fa (A, classes) and fb (B, classes)
+    per-class distinct-angle counts, every k >= 2 and every row sum >= 1.
+    Returns the (A, B) distances in bits; the arithmetic is that of d_e, so
+    identical descriptors are exactly 0 apart.
+    """
+    ka = np.asarray(ka, dtype=np.float64)
+    kb = np.asarray(kb, dtype=np.float64)
+    lp_a = np.log2(ka * ka - ka)
+    lp_b = np.log2(kb * kb - kb)
+    e_a = lp_a - np.log2(2.0 * np.sum(fa, axis=1))
+    e_b = lp_b - np.log2(2.0 * np.sum(fb, axis=1))
+    # one row of fb at a time: no (A, B, classes) temporary
+    union = np.stack([np.maximum(fa, row).sum(axis=1) for row in fb], axis=1)
+    e_pair = 0.5 * (lp_a[:, None] + lp_b) - np.log2(2.0 * union)
+    return np.maximum(e_a[:, None], e_b) - e_pair

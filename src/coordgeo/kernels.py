@@ -3,10 +3,14 @@
 Each kernel has one numpy implementation.  Neighbour search is a vectorised
 cell list (Allen & Tildesley, Computer Simulation of Liquids, sec. 5.3) for
 every box, thin slabs and open frames included; the O(N^2) brute force stays
-only as its test reference.
+only as its test reference.  A particle's profile is the catalog's descriptor
+format, (k, per-class distinct-angle counts), so classification takes d_E
+from coefficients.distances, the function that builds the distance matrix.
 """
 
 import numpy as np
+
+from .coefficients import distances
 
 HAVE_NUMBA = False  # constant: perfbench/worker.py reads it to record the backend
 
@@ -169,17 +173,16 @@ def _count_clusters(vals):
 
 
 def profile_particles(pos, box, periodic, starts, idx, edges):
-    """Bond-angle profile of every particle: (k, m, per-class angle counts).
+    """Bond-angle profile of every particle: (k, per-class angle counts).
 
     Measured angles are sorted and binned; within each bin the number of
-    distinct angles comes from _count_clusters.  A zero-length bond (two
-    coincident particles) raises ValueError.
+    distinct angles comes from _count_clusters, and m is the row sum of the
+    counts.  A zero-length bond (two coincident particles) raises ValueError.
     """
     pos = np.ascontiguousarray(pos, dtype=np.float64)
     edges = np.ascontiguousarray(edges, dtype=np.float64)
     n = len(pos)
     kk = np.diff(starts).astype(np.int64)
-    mm = np.zeros(n, dtype=np.int64)
     fcounts = np.zeros((n, len(edges) + 1), dtype=np.int64)
     inv = np.linalg.inv(box) if periodic else None
     for i in range(n):
@@ -203,37 +206,22 @@ def profile_particles(pos, box, periodic, starts, idx, edges):
         iu = np.triu_indices(k, 1)
         ang = np.sort(np.degrees(np.arccos(gram[iu])))
         cls = np.searchsorted(edges, ang, side="left")
-        m = 0
         for c in np.unique(cls):
-            nclus = _count_clusters(ang[cls == c])
-            fcounts[i, c] += nclus
-            m += nclus
-        mm[i] = m
-    return kk, mm, fcounts
+            fcounts[i, c] = _count_clusters(ang[cls == c])
+    return kk, fcounts
 
 
-def classify_particles(kk, mm, fcounts, cat_k, cat_m, cat_f):
-    """Label particles with the nearest catalog geometry (corrected union distance).
+def classify_particles(kk, fcounts, cat_k, cat_f):
+    """Label particles with the nearest catalog geometry under d_E.
 
     Returns catalog indices (-1 where k < 2) and distances (NaN there); ties
     go to the lowest catalog index.
     """
-    cat_k = np.asarray(cat_k, dtype=np.float64)
-    cat_m = np.asarray(cat_m, dtype=np.float64)
-    cat_f = np.asarray(cat_f, dtype=np.int64)
     n = len(kk)
     labels = np.full(n, -1, dtype=np.int64)
     dists = np.full(n, np.nan)
-    lp_g = np.log2(cat_k * cat_k - cat_k)
-    e_g = lp_g - np.log2(2.0 * cat_m)
     sel = np.flatnonzero(kk >= 2)
-    k, f = kk[sel], fcounts[sel]
-    lp_i = np.log2(k * k - k)
-    e_i = lp_i - np.log2(2.0 * mm[sel])
-    # one catalog row at a time: no (particles, rows, classes) temporary
-    union = np.stack([np.maximum(f, row).sum(axis=1) for row in cat_f], axis=1)
-    e_pair = 0.5 * (lp_i[:, None] + lp_g) - np.log2(2.0 * union)
-    d = np.maximum(e_i[:, None], e_g) - e_pair
+    d = distances(kk[sel], fcounts[sel], cat_k, cat_f)
     labels[sel] = np.argmin(d, axis=1)
     dists[sel] = d[np.arange(len(sel)), labels[sel]]
     return labels, dists

@@ -3,12 +3,13 @@
 Neighbourhoods come from a cutoff search (kernels.neighbour_csr: a numpy cell
 list for every box, minimum image under a periodic box) at a given cutoff or
 at the first RDF minimum (auto_cutoff).  Each particle's bond angles are
-discretized with the catalog discretizer; the per-particle coefficient uses
-the number of distinct angle classes, and classification picks the nearest
-catalog geometry under the class-set distance (k and the set of angle classes
-only, which is what noisy data can support).  analyze_frame gives both from
-one profiling pass; per_particle_e and classify are views of the same pass.
-Coincident particles raise ValueError.
+discretized with the catalog discretizer into the catalog's descriptor
+format: k and the per-class counts f of distinct measured angles, with
+m = f.sum().  The per-particle coefficient uses k and m, and classification
+picks the nearest catalog geometry under coefficients.distances, the d_E that
+builds the distance matrix.  analyze_frame gives both from one profiling
+pass; per_particle_e and classify are views of the same pass.  Coincident
+particles raise ValueError.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from . import kernels
 from .angles import Discretizer
 from .catalog import Catalog
-from .coefficients import descriptor
+from .coefficients import descriptor_arrays
 
 RDF_BINS = 200  # auto_cutoff's histogram bins
 
@@ -229,26 +230,11 @@ def auto_cutoff(frame: Frame) -> float:
     return float(centers[min(peak + len(g) // 10, len(g) - 1)])
 
 
-def _edges_and_catalog(catalog, disc):
-    edges = np.asarray(disc.bin_edges, dtype=float)
-    nclasses = len(edges) + 1
-    cat_k, cat_m = [], []
-    cat_f = np.zeros((len(catalog.geometries), nclasses), dtype=np.int64)
-    for gi, g in enumerate(catalog.geometries):
-        desc = descriptor(g, disc)
-        cat_k.append(g.k)
-        cat_m.append(desc.profile.m)
-        for cls, rep in zip(desc.profile.class_indices, desc.profile.theta):
-            cat_f[gi, cls] = desc.profile.f[rep]
-    return edges, (np.array(cat_k, dtype=np.int64),
-                   np.array(cat_m, dtype=np.int64),
-                   cat_f)
-
-
-def _profile(frame, nl, edges):
-    return kernels.profile_particles(
+def _profile(frame, nl, disc):
+    kk, fcounts = kernels.profile_particles(
         frame.positions, frame.box, frame.box is not None,
-        nl.starts, nl.indices, edges)
+        nl.starts, nl.indices, disc.bin_edges)
+    return kk, fcounts, fcounts.sum(axis=1)
 
 
 def _coefficient(kk, mm):
@@ -265,10 +251,9 @@ def analyze_frame(frame: Frame, nl: NeighbourList, catalog: Catalog,
     Returns (e, k, m, labels, distances): per_particle_e gives the first
     three, classify the last two.
     """
-    edges, (cat_k, cat_m, cat_f) = _edges_and_catalog(catalog, disc)
-    kk, mm, fcounts = _profile(frame, nl, edges)
-    lab_idx, dists = kernels.classify_particles(kk, mm, fcounts, cat_k,
-                                                cat_m, cat_f)
+    kk, fcounts, mm = _profile(frame, nl, disc)
+    lab_idx, dists = kernels.classify_particles(
+        kk, fcounts, *descriptor_arrays(catalog.geometries, disc))
     codes = catalog.codes
     labels = [codes[i] if i >= 0 else "-" for i in lab_idx]
     return _coefficient(kk, mm), kk, mm, labels, dists
@@ -283,8 +268,7 @@ def per_particle_e(frame: Frame, nl: NeighbourList, disc: Discretizer):
     two neighbours get NaN and m = 0 rather than being dropped.  Returns
     (e, k, m).
     """
-    edges = np.asarray(disc.bin_edges, dtype=float)
-    kk, mm, _ = _profile(frame, nl, edges)
+    kk, _, mm = _profile(frame, nl, disc)
     return _coefficient(kk, mm), kk, mm
 
 
@@ -293,10 +277,10 @@ def classify(frame: Frame, nl: NeighbourList, catalog: Catalog,
     """Nearest catalog geometry per particle under the corrected distance.
 
     Each particle's descriptor is its bond count plus the per-class counts of
-    its distinct measured angles; distinctness within a bin uses
-    kernels.VALUE_RESOLUTION, which separates geometries whose class sets
-    coincide (HCP and BPP, for instance) while staying insensitive to thermal
-    noise.
+    its distinct measured angles, the format of the catalog descriptors;
+    distinctness within a bin uses kernels.VALUE_RESOLUTION, which separates
+    geometries whose class sets coincide (HCP and BPP, for instance) while
+    staying insensitive to thermal noise.
     Returns (labels, distances): labels are geometry codes, or "-" for
     particles with k < 2; distances are in bits (NaN where undefined).
     Ties go to the lower catalog index.

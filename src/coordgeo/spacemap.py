@@ -13,7 +13,7 @@ import numpy as np
 
 from .angles import Discretizer
 from .catalog import Catalog, TAXONOMY
-from .coefficients import d_e, descriptor, e_one
+from .coefficients import descriptor, descriptor_arrays, distances, e_one
 from .shape import moment_per_neighbour, sphericity
 
 __all__ = [
@@ -42,16 +42,10 @@ class DistanceMatrix:
         return float(self.d[self.codes.index(a), self.codes.index(b)])
 
 
-def distance_matrix(catalog: Catalog, disc: Discretizer,
-                    union_mode: str = "corrected") -> DistanceMatrix:
-    """Pairwise distances between all catalog geometries."""
-    descs = [descriptor(g, disc) for g in catalog.geometries]
-    n = len(descs)
-    d = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            d[i, j] = d[j, i] = d_e(descs[i], descs[j], union_mode)
-    return DistanceMatrix(codes=tuple(catalog.codes), d=d)
+def distance_matrix(catalog: Catalog, disc: Discretizer) -> DistanceMatrix:
+    """Pairwise distances between all catalog geometries (coefficients.distances)."""
+    k, f = descriptor_arrays(catalog.geometries, disc)
+    return DistanceMatrix(codes=tuple(catalog.codes), d=distances(k, f, k, f))
 
 
 @dataclass(frozen=True)

@@ -124,8 +124,11 @@ def test_discretize_monotone(angles):
 def test_profile_m_matches_published(catalog, discretizer, code):
     p = profile(catalog.get(code), discretizer)
     assert p.m == TABLE[code][1]
-    assert p.m == sum(p.f.values())
-    assert p.class_count <= p.m
+    assert p.f.shape == (discretizer.n_classes,)
+    assert p.m == p.f.sum()
+    assert p.class_count == np.count_nonzero(p.f) <= p.m
+    assert p == profile(catalog.get(code), discretizer)
+    assert p != profile(catalog.get("TET"), discretizer) or code == "TET"
 
 
 def test_profile_pair_count_consistency(catalog, discretizer):
@@ -140,14 +143,14 @@ def test_profile_pair_count_consistency(catalog, discretizer):
 def test_profile_sds_merges_close_angles(catalog, discretizer):
     p = profile(catalog.get("SDS"), discretizer)
     assert p.m == 6
-    assert max(p.f.values()) > 1  # two distinct ideal angles share one class
+    assert p.f.max() > 1  # two distinct ideal angles share one class
 
 
 def test_afflicted_families(catalog, discretizer):
     # the capped pentagonal prisms and square antiprisms also merge ideals
     for code in ("CPP", "BPP", "CSA", "BSA"):
         p = profile(catalog.get(code), discretizer)
-        assert max(p.f.values()) > 1, code
+        assert p.f.max() > 1, code
 
 
 def test_axioms_at_published_epsilon(catalog, discretizer):

@@ -55,13 +55,18 @@ def test_distances_to_stdout(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "-").exists()
 
 
-def test_tree_newick_and_dot(tmp_path):
+def test_tree_newick_and_dot(tmp_path, monkeypatch, capsys):
     out = tmp_path / "t.nwk"
     dot = tmp_path / "t.dot"
     assert _run(["tree", "--out", str(out), "--dot", str(dot)]) == 0
     nwk = out.read_text().strip()
     assert nwk.count("(") == 21
     assert dot.read_text().startswith("graph")
+    capsys.readouterr()
+    monkeypatch.chdir(tmp_path)
+    assert _run(["tree", "--out", str(out), "--dot", "-"]) == 0
+    assert capsys.readouterr().out == dot.read_text()
+    assert not (tmp_path / "-").exists()
 
 
 def test_embed_csv(tmp_path):
@@ -86,13 +91,20 @@ def test_typicality_csv(tmp_path):
     assert len(lines) == 23
 
 
-def test_inherent_angles_json(tmp_path, capsys):
+def test_inherent_angles_json(tmp_path, monkeypatch, capsys):
     out = tmp_path / "disc.json"
     assert _run(["inherent-angles", "--out", str(out)]) == 0
     printed = capsys.readouterr().out
     assert "inherent angles" in printed
     data = json.loads(out.read_text())
     assert data["epsilon"] == 2.85
+    # with --out - stdout holds the JSON alone, without the table
+    monkeypatch.chdir(tmp_path)
+    assert _run(["inherent-angles", "--out", "-"]) == 0
+    printed = capsys.readouterr().out
+    assert printed == out.read_text()
+    assert json.loads(printed) == data
+    assert not (tmp_path / "-").exists()
 
 
 def test_analyze_ideal_fcc(tmp_path):

@@ -8,19 +8,16 @@ from hypothesis import given, settings, strategies as st
 import coordgeo as cg
 from coordgeo.angles import AngleProfile
 from coordgeo.coefficients import (ParticleDescriptor, check_loose_bounds,
-                                   check_upper_bound, d_e, descriptor, e_many,
-                                   e_one)
+                                   check_upper_bound, d_e, descriptor,
+                                   distances, e_many, e_one)
 
 from published import TABLE
 
 
 def _desc(k, m):
     # synthetic descriptor with m singleton classes
-    theta = tuple(10.0 * (i + 1) for i in range(m))
-    f = {t: 1 for t in theta}
-    prof = AngleProfile(geometry_code="?", theta=theta, f=f, m=m,
-                        class_indices=tuple(range(m)))
-    return ParticleDescriptor(k=k, profile=prof)
+    return ParticleDescriptor(k=k, profile=AngleProfile(geometry_code="?",
+                                                        f=np.ones(m)))
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +119,14 @@ def test_d_e_raw_mode_zero_diagonal(descs):
         assert d_e(d, d, union_mode="raw") == pytest.approx(0.0, abs=1e-12)
 
 
+def test_raw_union_counts_classes(descs):
+    # raw mode counts the classes hit, not the distinct angles in them
+    for d in descs.values():
+        want = math.log2(d.k * d.k - d.k) - math.log2(2.0 * d.profile.class_count)
+        assert e_many([d], union_mode="raw") == pytest.approx(want, abs=1e-12)
+    assert e_many([descs["SDS"]], union_mode="raw") > e_one(descs["SDS"])
+
+
 @given(st.integers(min_value=2, max_value=40), st.integers(min_value=1, max_value=40))
 @settings(max_examples=200, deadline=None)
 def test_e_one_monotonicity(k, m):
@@ -131,6 +136,34 @@ def test_e_one_monotonicity(k, m):
         assert e_one(_desc(k, m + 1)) < e  # more distinct angles, less order
     if (k + 1) * k // 2 >= m:
         assert e_one(_desc(k + 1, m)) > e  # more bonds, more order
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), na=st.integers(1, 6),
+       nb=st.integers(1, 6))
+@settings(max_examples=100, deadline=None)
+def test_distances_match_scalar_d_e(seed, na, nb):
+    """Random (k, f) with 1 <= f.sum() <= k(k-1)/2, some rows repeated."""
+    rng = np.random.default_rng(seed)
+    k = rng.integers(2, 15, size=na + nb)
+    f = np.array([rng.multinomial(rng.integers(1, ki * (ki - 1) // 2 + 1),
+                                  np.full(8, 0.125)) for ki in k])
+    dup = rng.integers(0, na + nb, size=2)
+    k[dup[0]], f[dup[0]] = k[dup[1]], f[dup[1]]
+    descs = [ParticleDescriptor(k=int(ki), profile=AngleProfile("?", fi))
+             for ki, fi in zip(k, f)]
+    got = distances(k[:na], f[:na], k[na:], f[na:])
+    assert got.shape == (na, nb)
+    for i in range(na):
+        for j in range(nb):
+            assert got[i, j] == pytest.approx(d_e(descs[i], descs[na + j]),
+                                              abs=1e-12)
+    full = distances(k, f, k, f)
+    assert np.array_equal(full, full.T)
+    assert np.all(np.diag(full) == 0.0)
+    # zero exactly on identical descriptors, positive elsewhere
+    same = (k[:, None] == k) & (f[:, None, :] == f).all(axis=2)
+    assert np.all(full[same] == 0.0)
+    assert np.all(full[~same] > 0.0)
 
 
 _PERM_CACHE = {}

@@ -9,15 +9,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coordgeo import kernels
-from coordgeo.snapshot import _edges_and_catalog, make_lattice
+from coordgeo.coefficients import descriptor_arrays
+from coordgeo.snapshot import make_lattice
 
 
 @pytest.fixture(scope="module")
 def setup(catalog, discretizer):
     # 3 x 5 x 5 cells at rcut 1.2
     fr = make_lattice("hcp", 4, noise=0.004, seed=4)
-    edges, cat = _edges_and_catalog(catalog, discretizer)
-    return fr, edges, cat
+    cat = descriptor_arrays(catalog.geometries, discretizer)
+    return fr, discretizer.bin_edges, cat
 
 
 def _cell_list_vs_brute(pos, box, periodic, rcut):
@@ -65,18 +66,24 @@ def test_cell_list_equals_brute_force(seed, n, periodic, cells, slack, tilt):
 
 def test_profile_counts_sum_to_m(setup):
     fr, edges, _ = setup
-    starts, idx = kernels.neighbour_csr(fr.positions, fr.box, True, 1.2)
-    kk, mm, fcounts = kernels.profile_particles(fr.positions, fr.box, True,
+    # m is the row sum of the counts by construction; the open frame adds an
+    # isolated particle (k = 0) and an isolated pair (k = 1)
+    lone = np.vstack([fr.positions, [[50.0, 0, 0], [0, 50.0, 0], [0, 50.5, 0]]])
+    for pos, periodic in ((fr.positions, True), (lone, False)):
+        starts, idx = kernels.neighbour_csr(pos, fr.box, periodic, 1.2)
+        kk, fcounts = kernels.profile_particles(pos, fr.box, periodic,
                                                 starts, idx, edges)
-    assert np.array_equal(fcounts.sum(axis=1), mm)
-    assert np.all(mm[kk >= 2] >= 1)
+        assert np.all(fcounts[kk >= 2].sum(axis=1) >= 1)
+        assert not fcounts[kk < 2].any()
+    assert list(kk[-3:]) == [0, 1, 1]
 
 
-def _classify_loop(kk, mm, fcounts, cat_k, cat_m, cat_f):
+def _classify_loop(kk, fcounts, cat_k, cat_f):
     """Reference classify_particles: one particle at a time."""
     cat_k = np.asarray(cat_k, dtype=np.float64)
-    cat_m = np.asarray(cat_m, dtype=np.float64)
     cat_f = np.asarray(cat_f, dtype=np.int64)
+    cat_m = cat_f.sum(axis=1).astype(np.float64)
+    mm = fcounts.sum(axis=1)
     n = len(kk)
     labels = np.full(n, -1, dtype=np.int64)
     dists = np.full(n, np.nan)
@@ -97,9 +104,9 @@ def _classify_loop(kk, mm, fcounts, cat_k, cat_m, cat_f):
     return labels, dists
 
 
-def _assert_classify_as_loop(kk, mm, fcounts, cat):
-    labels, dists = kernels.classify_particles(kk, mm, fcounts, *cat)
-    ref_labels, ref_dists = _classify_loop(kk, mm, fcounts, *cat)
+def _assert_classify_as_loop(kk, fcounts, cat):
+    labels, dists = kernels.classify_particles(kk, fcounts, *cat)
+    ref_labels, ref_dists = _classify_loop(kk, fcounts, *cat)
     assert np.array_equal(labels, ref_labels)
     assert dists.tobytes() == ref_dists.tobytes()
 
@@ -112,9 +119,9 @@ def test_classify_equals_particle_loop(setup):
                               ("fcc", 0.85, 0.03), ("bcc", 0.9, 0.05)):
         fr = make_lattice(kind, 3, noise=noise, seed=7)
         starts, idx = kernels.neighbour_csr(fr.positions, fr.box, True, rcut)
-        kk, mm, fcounts = kernels.profile_particles(fr.positions, fr.box, True,
-                                                    starts, idx, edges)
-        _assert_classify_as_loop(kk, mm, fcounts, cat)
+        kk, fcounts = kernels.profile_particles(fr.positions, fr.box, True,
+                                                starts, idx, edges)
+        _assert_classify_as_loop(kk, fcounts, cat)
     # small random descriptors, k of 0 and 1 among them
     rng = np.random.default_rng(3)
     kk = rng.integers(0, 15, size=400)
@@ -122,15 +129,15 @@ def test_classify_equals_particle_loop(setup):
     fcounts[kk < 2] = 0
     # exact ties: two catalog rows with equal k and m are equally far from
     # the union of their class counts (for PBP and CTP no row is nearer)
-    cat_k, cat_m, cat_f = cat
+    cat_k, cat_f = cat
+    cat_m = cat_f.sum(axis=1)
     pairs = [(g, h) for g in range(len(cat_k)) for h in range(g)
              if cat_k[g] == cat_k[h] and cat_m[g] == cat_m[h]]
     assert pairs
     kk = np.concatenate([kk, [cat_k[g] for g, _ in pairs]])
     fcounts = np.vstack([fcounts] + [np.maximum(cat_f[g], cat_f[h])
                                      for g, h in pairs])
-    mm = fcounts.sum(axis=1)
-    labels, dists = kernels.classify_particles(kk, mm, fcounts, *cat)
+    labels, dists = kernels.classify_particles(kk, fcounts, *cat)
     assert np.array_equal(labels < 0, kk < 2)
     assert (labels[-len(pairs):] == [h for _, h in pairs]).any()
-    _assert_classify_as_loop(kk, mm, fcounts, cat)
+    _assert_classify_as_loop(kk, fcounts, cat)

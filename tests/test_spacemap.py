@@ -2,13 +2,27 @@ import numpy as np
 import pytest
 
 import coordgeo as cg
+from coordgeo.coefficients import d_e, descriptor
 from coordgeo.spacemap import (DistanceMatrix, _smacof, _smacof_stack,
                                _classical_mds, delaunay_2d,
                                hierarchical_cluster, mds, typicality,
                                verify_metric)
 
 
-def test_distance_matrix_basics(dmatrix):
+def _distance_matrix_loop(catalog, disc):
+    """Reference distance_matrix: the scalar d_e over every pair."""
+    descs = [descriptor(g, disc) for g in catalog.geometries]
+    n = len(descs)
+    d = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            d[i, j] = d[j, i] = d_e(descs[i], descs[j])
+    return d
+
+
+def test_distance_matrix_basics(dmatrix, catalog, discretizer):
+    assert dmatrix.d.tobytes() == _distance_matrix_loop(catalog,
+                                                        discretizer).tobytes()
     assert np.allclose(np.diag(dmatrix.d), 0.0)
     assert np.allclose(dmatrix.d, dmatrix.d.T)
     assert dmatrix.value("FCC", "HCP") == pytest.approx(np.log2(1.5), abs=1e-12)
