@@ -186,32 +186,41 @@ def cmd_inherent_angles(args):
 
 
 def cmd_analyze(args):
+    if args.summary == "-" and args.out in (None, "-"):
+        raise ValueError("--summary - and the CSV (--out, default stdout) "
+                         "cannot share stdout; write one of them to a file")
     cfg = _resolve_config(args)
     catalog, disc = _pipeline(cfg)
     frames = read_frames(args.path, fmt=args.format)
     all_lines = ["frame,id,k,m,e,label,d_e"]
     summary = []
     for fi, frame in enumerate(frames):
-        rcut = args.rcut if args.rcut is not None else auto_cutoff(frame)
+        rcut = args.rcut
+        if rcut is None:
+            try:
+                rcut = auto_cutoff(frame)
+            except ValueError as exc:
+                raise ValueError(f"frame {fi}: {exc}; set the cutoff "
+                                 f"explicitly with --rcut") from exc
         nl = neighbours_cutoff(frame, rcut)
         e, kk, mm, labels, dists = analyze_frame(frame, nl, catalog, disc)
-        hist = {}
-        for i in range(frame.n):
-            es = "nan" if np.isnan(e[i]) else _fmt(e[i])
-            ds = "nan" if np.isnan(dists[i]) else _fmt(dists[i])
-            all_lines.append(f"{fi},{i},{kk[i]},{mm[i]},{es},{labels[i]},{ds}")
-            hist[labels[i]] = hist.get(labels[i], 0) + 1
+        es = [f"{x:.6f}" for x in e.tolist()]
+        ds = [f"{x:.6f}" for x in dists.tolist()]
+        all_lines += [f"{fi},{i},{k},{m},{ei},{lab},{di}" for i, k, m, ei, lab, di
+                      in zip(range(frame.n), kk.tolist(), mm.tolist(), es,
+                             labels, ds)]
+        codes, counts = np.unique(labels, return_counts=True)
         finite = e[~np.isnan(e)]
         summary.append({
             "frame": fi,
             "n": int(frame.n),
             "r_cut": float(rcut),
-            "labels": {k: hist[k] for k in sorted(hist)},
+            "labels": dict(zip(codes.tolist(), counts.tolist())),
             "mean_e": float(finite.mean()) if len(finite) else None,
         })
     _write(args.out, "\n".join(all_lines) + "\n")
     if args.summary:
-        Path(args.summary).write_text(json.dumps(summary, indent=2) + "\n")
+        _write(args.summary, json.dumps(summary, indent=2) + "\n")
     return 0
 
 

@@ -1,11 +1,15 @@
 """Hot numeric kernels: neighbour search, per-particle angle profiling, classification.
 
-Each kernel has one numpy implementation.  Neighbour search is a vectorised
-cell list (Allen & Tildesley, Computer Simulation of Liquids, sec. 5.3) for
-every box, thin slabs and open frames included; the O(N^2) brute force stays
-only as its test reference.  A particle's profile is the catalog's descriptor
-format, (k, per-class distinct-angle counts), so classification takes d_E
-from coefficients.distances, the function that builds the distance matrix.
+Each kernel has one numpy implementation and no per-particle Python loop.
+Neighbour search is a vectorised cell list (Allen & Tildesley, Computer
+Simulation of Liquids, sec. 5.3) for every box, thin slabs and open frames
+included; the O(N^2) brute force stays only as its test reference.  The angle
+profile is batched by coordination number k: one minimum-image step for all
+bond vectors, then one stacked Gram matrix per k, and _count_clusters runs
+only on the bins that hold a gap above VALUE_RESOLUTION.  A particle's profile
+is the catalog's descriptor format, (k, per-class distinct-angle counts), so
+classification takes d_E from coefficients.distances, the function that
+builds the distance matrix.
 """
 
 import numpy as np
@@ -21,7 +25,7 @@ HAVE_NUMBA = False  # constant: perfbench/worker.py reads it to record the backe
 VALUE_RESOLUTION = 1.2
 
 _MAX_CELLS = 64          # per axis; larger cells stay correct, only slower
-_PAIR_BUDGET = 1_000_000  # candidate pairs held in memory at once
+_PAIR_BUDGET = 1_000_000  # candidate pairs, or bond angles, held in memory at once
 
 
 def _dot3(u, v):
@@ -175,40 +179,70 @@ def _count_clusters(vals):
 def profile_particles(pos, box, periodic, starts, idx, edges):
     """Bond-angle profile of every particle: (k, per-class angle counts).
 
-    Measured angles are sorted and binned; within each bin the number of
-    distinct angles comes from _count_clusters, and m is the row sum of the
-    counts.  A zero-length bond (two coincident particles) raises ValueError.
+    Batched by coordination number: all bond vectors are taken in one
+    minimum-image step, and for each k >= 2 the rows of that k are stacked
+    into (R, k, 3) for one batched Gram matrix, arccos, row sort and binning,
+    in row chunks of about _PAIR_BUDGET angles.  Every occupied bin counts one
+    distinct angle; only a bin whose sorted values hold a gap above
+    VALUE_RESOLUTION goes through _count_clusters.  m is the row sum of the
+    counts.  A zero-length bond (two coincident particles) raises ValueError
+    naming the lowest such particle.
     """
     pos = np.ascontiguousarray(pos, dtype=np.float64)
     edges = np.ascontiguousarray(edges, dtype=np.float64)
     n = len(pos)
     kk = np.diff(starts).astype(np.int64)
     fcounts = np.zeros((n, len(edges) + 1), dtype=np.int64)
-    inv = np.linalg.inv(box) if periodic else None
-    for i in range(n):
-        k = kk[i]
-        if k == 0:
-            continue
-        nbrs = idx[starts[i]:starts[i + 1]]
-        vec = pos[nbrs] - pos[i]
-        if periodic:
-            f = vec @ inv
-            f -= np.rint(f)
-            vec = f @ box
-        length = np.linalg.norm(vec, axis=1)
-        if not length.all():
-            raise ValueError(f"particle {i} coincides with particle "
-                             f"{nbrs[np.argmin(length)]} (zero-length bond)")
-        if k < 2:
-            continue
-        vec = vec / length[:, None]
-        gram = np.clip(vec @ vec.T, -1.0, 1.0)
-        iu = np.triu_indices(k, 1)
-        ang = np.sort(np.degrees(np.arccos(gram[iu])))
-        cls = np.searchsorted(edges, ang, side="left")
-        for c in np.unique(cls):
-            fcounts[i, c] = _count_clusters(ang[cls == c])
+    owners = np.repeat(np.arange(n), kk)
+    vec = pos[idx] - pos[owners]
+    if periodic:
+        f = vec @ np.linalg.inv(box)
+        f -= np.rint(f)
+        vec = f @ box
+    length = np.linalg.norm(vec, axis=1)
+    zero = np.flatnonzero(length == 0.0)
+    if len(zero):
+        # bonds run in CSR order: the first zero one belongs to the lowest
+        # offending particle and is its first coincident neighbour
+        b = zero[0]
+        raise ValueError(f"particle {owners[b]} coincides with particle "
+                         f"{idx[b]} (zero-length bond)")
+    vec /= length[:, None]
+    for k in np.unique(kk[kk >= 2]).tolist():
+        iu, ju = np.triu_indices(k, 1)
+        rows = np.flatnonzero(kk == k)
+        chunk = max(1, _PAIR_BUDGET // len(iu))
+        for lo in range(0, len(rows), chunk):
+            r = rows[lo:lo + chunk]
+            v = vec[starts[r][:, None] + np.arange(k)]
+            gram = np.clip((v @ v.transpose(0, 2, 1))[:, iu, ju], -1.0, 1.0)
+            ang = np.sort(np.degrees(np.arccos(gram)), axis=1)
+            cls = np.searchsorted(edges, ang, side="left")
+            fcounts[r[:, None], cls] = 1
+            at, c, count = _gapped_bins(ang, cls)
+            fcounts[r[at], c] = count
     return kk, fcounts
+
+
+def _gapped_bins(ang, cls):
+    """Distinct-angle counts of the bins holding a gap above VALUE_RESOLUTION.
+
+    ang holds sorted rows and cls their bins, so each bin of a row is one run
+    of equal cls.  Returns the row, the bin and _count_clusters of each run
+    with a gap between consecutive values; every other occupied bin counts 1.
+    """
+    same = cls[:, 1:] == cls[:, :-1]
+    row, t = np.nonzero(same & (np.diff(ang, axis=1) > VALUE_RESOLUTION))
+    width = ang.shape[1]
+    first = np.ones(ang.shape, dtype=bool)
+    first[:, 1:] = ~same
+    begin = np.append(np.flatnonzero(first), first.size)
+    # the run holding each gap, once per run
+    slow = np.unique(np.searchsorted(begin, row * width + t, side="right") - 1)
+    flat = ang.ravel()
+    count = [_count_clusters(flat[s:e].tolist())
+             for s, e in zip(begin[slow].tolist(), begin[slow + 1].tolist())]
+    return begin[slow] // width, cls.ravel()[begin[slow]], count
 
 
 def classify_particles(kk, fcounts, cat_k, cat_f):

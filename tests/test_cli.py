@@ -138,6 +138,49 @@ def test_analyze_auto_cutoff(tmp_path):
     assert summary[0]["labels"].get("FCC", 0) >= 0.95 * frame.n
 
 
+def test_analyze_summary_to_stdout(tmp_path, monkeypatch, capsys):
+    xyz = tmp_path / "fcc.extxyz"
+    write_frames(xyz, [make_lattice("fcc", 3)])
+    summ = tmp_path / "s.json"
+    base = ["analyze", str(xyz), "--rcut", "0.85", "--out",
+            str(tmp_path / "pp.csv")]
+    assert _run(base + ["--summary", str(summ)]) == 0
+    capsys.readouterr()
+    monkeypatch.chdir(tmp_path)
+    assert _run(base + ["--summary", "-"]) == 0
+    assert capsys.readouterr().out == summ.read_text()
+    assert not (tmp_path / "-").exists()
+
+
+@pytest.mark.parametrize("out", [["--out", "-"], []])
+def test_analyze_csv_and_summary_cannot_share_stdout(tmp_path, monkeypatch,
+                                                     capsys, out):
+    xyz = tmp_path / "fcc.extxyz"
+    write_frames(xyz, [make_lattice("fcc", 3)])
+    monkeypatch.chdir(tmp_path)
+    rc = _run(["analyze", str(xyz), "--rcut", "0.85", "--summary", "-"] + out)
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --summary - and the CSV")
+    assert not (tmp_path / "-").exists()
+
+
+def test_analyze_auto_cutoff_failure_names_rcut(tmp_path, capsys):
+    # the pair spans the diagonal of its open frame, beyond the RDF's reach
+    xyz = tmp_path / "pair.xyz"
+    write_frames(xyz, [Frame(positions=[[0.0, 0, 0], [1.0, 0, 0]])])
+    out = tmp_path / "pp.csv"
+    assert _run(["analyze", str(xyz), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: frame 0: no pairs found")
+    assert "--rcut" in err
+    assert not out.exists()
+    assert _run(["analyze", str(xyz), "--rcut", "1.5", "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[1:] == ["0,0,1,0,nan,-,nan",
+                                                "0,1,1,0,nan,-,nan"]
+
+
 def test_analyze_profiles_each_frame_once(tmp_path, monkeypatch, catalog,
                                           discretizer):
     frames = [make_lattice("fcc", 3, noise=0.01, seed=1),

@@ -1,6 +1,8 @@
-"""Kernels: the cell list against the brute-force reference, profile invariants,
-classification against a per-particle reference loop."""
+"""Kernels: the cell list against the brute-force reference, the batched angle
+profile and classification against per-particle reference loops, and the
+invariance of profiles and labels under rigid motions and relabelling."""
 
+import re
 from unittest import mock
 
 import numpy as np
@@ -78,6 +80,119 @@ def test_profile_counts_sum_to_m(setup):
     assert list(kk[-3:]) == [0, 1, 1]
 
 
+def _profile_loop(pos, box, periodic, starts, idx, edges):
+    """Reference profile_particles: one particle at a time."""
+    pos = np.ascontiguousarray(pos, dtype=np.float64)
+    edges = np.ascontiguousarray(edges, dtype=np.float64)
+    n = len(pos)
+    kk = np.diff(starts).astype(np.int64)
+    fcounts = np.zeros((n, len(edges) + 1), dtype=np.int64)
+    inv = np.linalg.inv(box) if periodic else None
+    for i in range(n):
+        k = kk[i]
+        if k == 0:
+            continue
+        nbrs = idx[starts[i]:starts[i + 1]]
+        vec = pos[nbrs] - pos[i]
+        if periodic:
+            f = vec @ inv
+            f -= np.rint(f)
+            vec = f @ box
+        length = np.linalg.norm(vec, axis=1)
+        if not length.all():
+            raise ValueError(f"particle {i} coincides with particle "
+                             f"{nbrs[np.argmin(length)]} (zero-length bond)")
+        if k < 2:
+            continue
+        vec = vec / length[:, None]
+        gram = np.clip(vec @ vec.T, -1.0, 1.0)
+        iu = np.triu_indices(k, 1)
+        ang = np.sort(np.degrees(np.arccos(gram[iu])))
+        cls = np.searchsorted(edges, ang, side="left")
+        for c in np.unique(cls):
+            fcounts[i, c] = kernels._count_clusters(ang[cls == c])
+    return kk, fcounts
+
+
+def _assert_profile_as_loop(pos, box, periodic, rcut, edges):
+    starts, idx = kernels.neighbour_csr(pos, box, periodic, rcut)
+    args = (pos, box, periodic, starts, idx, edges)
+    try:
+        ref = _profile_loop(*args)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            kernels.profile_particles(*args)
+        assert str(got.value) == str(exc)
+        return None
+    kk, fcounts = kernels.profile_particles(*args)
+    assert kk.tobytes() == ref[0].tobytes()
+    assert fcounts.tobytes() == ref[1].tobytes()
+    return kk
+
+
+_LATTICE_RCUT = {"fcc": 0.85, "bcc": 1.2, "hcp": 1.2}
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 150),
+       periodic=st.booleans(), tilt=st.floats(-0.5, 0.5),
+       reach=st.floats(0.3, 2.5), twins=st.sampled_from((0, 0, 0, 1, 2)))
+def test_profile_equals_particle_loop_random(setup, seed, n, periodic, tilt,
+                                             reach, twins):
+    """Random triclinic and open frames, k from 0 up, coincident particles."""
+    _, edges, _ = setup
+    rng = np.random.default_rng(seed)
+    lengths = rng.uniform(3.0, 8.0, size=3)
+    box = np.diag(lengths)
+    box[np.tril_indices(3, -1)] = tilt * lengths[0] * rng.uniform(-1, 1, 3)
+    pos = rng.uniform(-0.3, 1.3, size=(n, 3)) @ box
+    # `twins` particles placed exactly on others, raising in both functions
+    pos = np.vstack([pos, pos[rng.integers(0, n, size=twins)]])
+    rcut = reach * (abs(np.linalg.det(box)) / len(pos)) ** (1 / 3)
+    if periodic:
+        rcut = min(rcut, 0.49 * kernels._perpendicular_widths(box).min())
+    kk = _assert_profile_as_loop(pos, box, periodic, rcut, edges)
+    assert (kk is None) == (twins > 0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(sorted(_LATTICE_RCUT)), noise=st.floats(0.0, 0.08),
+       seed=st.integers(0, 2 ** 16), periodic=st.booleans())
+def test_profile_equals_particle_loop_lattices(setup, kind, noise, seed,
+                                               periodic):
+    """Noisy FCC, BCC and HCP; the open copy adds particles with k = 0 and 1."""
+    _, edges, _ = setup
+    fr = make_lattice(kind, 3, noise=noise, seed=seed)
+    pos = fr.positions
+    if not periodic:
+        pos = np.vstack([pos, [[50.0, 0, 0], [0, 50.0, 0], [0, 50.5, 0]]])
+    kk = _assert_profile_as_loop(pos, fr.box, periodic, _LATTICE_RCUT[kind],
+                                 edges)
+    assert (kk >= 2).any()
+    if not periodic:
+        assert list(kk[-3:]) == [0, 1, 1] and len(set(kk.tolist())) > 2
+
+
+def test_profile_coincident_message(setup):
+    """The lowest offending particle and its first zero-length neighbour."""
+    fr, edges, _ = setup
+    pos = fr.positions
+    # particle 5 gets two twins at the end, then comes a coincident lone pair
+    pos = np.vstack([pos, pos[[5, 5]], [[50.0, 0, 0], [50.0, 0, 0]]])
+    starts, idx = kernels.neighbour_csr(pos, fr.box, False, 1.2)
+    args = (pos, fr.box, False, starts, idx, edges)
+    n = len(fr.positions)
+    msg = re.escape(f"particle 5 coincides with particle {n} (zero-length bond)")
+    with pytest.raises(ValueError, match=msg):
+        _profile_loop(*args)
+    with pytest.raises(ValueError, match=msg):
+        kernels.profile_particles(*args)
+    # the k = 1 pair alone still raises
+    starts, idx = kernels.neighbour_csr(pos[-2:], None, False, 1.2)
+    with pytest.raises(ValueError, match="particle 0 coincides with particle 1"):
+        kernels.profile_particles(pos[-2:], None, False, starts, idx, edges)
+
+
 def _classify_loop(kk, fcounts, cat_k, cat_f):
     """Reference classify_particles: one particle at a time."""
     cat_k = np.asarray(cat_k, dtype=np.float64)
@@ -141,3 +256,61 @@ def test_classify_equals_particle_loop(setup):
     assert np.array_equal(labels < 0, kk < 2)
     assert (labels[-len(pairs):] == [h for _, h in pairs]).any()
     _assert_classify_as_loop(kk, fcounts, cat)
+
+
+def _margin(pos, box, periodic, rcut, edges):
+    """How far the frame sits from every decision the profile makes: pair
+    distances from rcut, angles from the bin edges, and same-bin gaps from
+    VALUE_RESOLUTION and twice it (the merge thresholds of _count_clusters)."""
+    box = box if periodic else None
+    inv = np.linalg.inv(box) if periodic else None
+    n = len(pos)
+    r = np.sqrt(kernels._pair_r2(pos, np.arange(n)[:, None],
+                                 np.arange(n)[None, :], box, inv))
+    out = [np.abs(r[~np.eye(n, dtype=bool)] - rcut).min()]
+    for i in range(n):
+        vec = pos[np.flatnonzero((r[i] <= rcut) & (np.arange(n) != i))] - pos[i]
+        if periodic:
+            f = vec @ inv
+            vec = (f - np.rint(f)) @ box
+        if len(vec) < 2:
+            continue
+        vec /= np.linalg.norm(vec, axis=1)[:, None]
+        ang = np.sort(np.degrees(np.arccos(np.clip(
+            (vec @ vec.T)[np.triu_indices(len(vec), 1)], -1.0, 1.0))))
+        cls = np.searchsorted(edges, ang)
+        gap = np.diff(ang)[np.diff(cls) == 0]
+        out += [np.abs(ang[:, None] - edges).min(),
+                np.abs(gap - kernels.VALUE_RESOLUTION).min(initial=np.inf),
+                np.abs(gap - 2 * kernels.VALUE_RESOLUTION).min(initial=np.inf)]
+    return min(out)
+
+
+def _profile_and_labels(pos, box, periodic, rcut, edges, cat):
+    starts, idx = kernels.neighbour_csr(pos, box, periodic, rcut)
+    kk, fcounts = kernels.profile_particles(pos, box, periodic, starts, idx,
+                                            edges)
+    return kk, fcounts, kernels.classify_particles(kk, fcounts, *cat)[0]
+
+
+@settings(max_examples=25, deadline=None)
+@given(kind=st.sampled_from(sorted(_LATTICE_RCUT)), noise=st.floats(0.005, 0.05),
+       seed=st.integers(0, 2 ** 16), periodic=st.booleans(),
+       shift=st.tuples(*[st.floats(-20.0, 20.0)] * 3))
+def test_profile_invariant_under_motion_and_relabelling(setup, kind, noise, seed,
+                                                        periodic, shift):
+    """Rotation, translation and permutation of a noisy lattice leave k, the
+    counts and the labels unchanged (permuted along), away from bin edges."""
+    _, edges, cat = setup
+    fr = make_lattice(kind, 3, noise=noise, seed=seed)
+    rcut = _LATTICE_RCUT[kind]
+    assume(_margin(fr.positions, fr.box, periodic, rcut, edges) > 1e-6)
+    rng = np.random.default_rng(seed)
+    rot, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    rot *= np.sign(np.linalg.det(rot))
+    perm = rng.permutation(fr.n)
+    ref = _profile_and_labels(fr.positions, fr.box, periodic, rcut, edges, cat)
+    moved = _profile_and_labels((fr.positions @ rot.T + shift)[perm],
+                                fr.box @ rot.T, periodic, rcut, edges, cat)
+    for a, b in zip(ref, moved):
+        assert np.array_equal(a[perm], b)
