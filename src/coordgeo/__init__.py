@@ -17,8 +17,8 @@ from .coefficients import (ParticleDescriptor, check_loose_bounds,
 from .hull import HullResult, convex_hull
 from .shape import moment_per_neighbour, sphericity
 from .snapshot import (Frame, NeighbourList, analyze_frame, auto_cutoff,
-                       classify, make_lattice, neighbours_cutoff,
-                       per_particle_e, read_frames, write_frames)
+                       iter_frames, make_lattice, neighbours_cutoff,
+                       read_frames, write_frames)
 from .spacemap import (Dendrogram, DistanceMatrix, Embedding, MetricReport,
                        TypicalityReport, class_averages, delaunay_2d,
                        distance_matrix, hierarchical_cluster, mds, typicality,

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -14,7 +16,7 @@ from .angles import axioms_satisfied, collect_pool, derive_discretizer
 from .catalog import build_catalog, catalog_to_json
 from .coefficients import descriptor, e_one
 from .shape import moment_per_neighbour, sphericity
-from .snapshot import analyze_frame, auto_cutoff, neighbours_cutoff, read_frames
+from .snapshot import analyze_frame, auto_cutoff, iter_frames, neighbours_cutoff
 from .spacemap import (delaunay_2d, distance_matrix, hierarchical_cluster,
                        mds, order_typicality_scatter, typicality)
 
@@ -47,7 +49,14 @@ def _load_config_file(path):
         if "=" not in line:
             raise ValueError(f"{path}: bad config line {raw!r}")
         key, val = (s.strip() for s in line.split("=", 1))
-        values[key.replace("-", "_")] = val
+        key = key.replace("-", "_")
+        if key not in _DEFAULTS:
+            raise ValueError(f"{path}: unknown config key {key!r}; "
+                             f"valid keys: {', '.join(_DEFAULTS)}")
+        try:
+            values[key] = type(_DEFAULTS[key])(val)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {key}: {exc}") from None
     return values
 
 
@@ -55,10 +64,7 @@ def _resolve_config(args) -> RunConfig:
     # precedence: explicit flags > config file entries > defaults
     merged = dict(_DEFAULTS)
     if getattr(args, "config", None):
-        raw = _load_config_file(args.config)
-        for key, default in _DEFAULTS.items():
-            if key in raw:
-                merged[key] = type(default)(raw[key])
+        merged.update(_load_config_file(args.config))
     for key in _DEFAULTS:
         flag = getattr(args, key, None)
         if flag is not None:
@@ -66,18 +72,41 @@ def _resolve_config(args) -> RunConfig:
     return RunConfig(**merged)
 
 
-def _pipeline(cfg: RunConfig):
+def _pipeline(args):
+    """The run configuration, the catalog and its discretizer."""
+    cfg = _resolve_config(args)
     catalog = build_catalog()
     disc = derive_discretizer(collect_pool(catalog), min_pts=cfg.min_pts,
                               epsilon=cfg.epsilon)
-    return catalog, disc
+    return cfg, catalog, disc
+
+
+@contextlib.contextmanager
+def _output(path):
+    """Text stream for an output: stdout for None or "-".  A file is written
+    to a temporary file beside it that replaces it only when the block
+    succeeds and is deleted otherwise, so a failed command leaves no output."""
+    if path is None or path == "-":
+        yield sys.stdout
+        return
+    tmp = Path(path).with_name(f".{Path(path).name}.{os.urandom(4).hex()}.tmp")
+    try:
+        fh = open(tmp, "x")  # mode 0666 less the umask, as Path.write_text
+    except OSError as exc:
+        exc.filename = path  # name the output, not its temporary file
+        raise
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
 
 
 def _write(path, text):
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text)
+    with _output(path) as fh:
+        fh.write(text)
 
 
 def _fmt(x, nd=6):
@@ -85,8 +114,7 @@ def _fmt(x, nd=6):
 
 
 def cmd_table(args):
-    cfg = _resolve_config(args)
-    catalog, disc = _pipeline(cfg)
+    cfg, catalog, disc = _pipeline(args)
     dm = distance_matrix(catalog, disc)
     emb = mds(dm, dims=cfg.dims, seed=cfg.seed, restarts=cfg.restarts)
     tau = typicality(emb, dm.codes).tau
@@ -105,8 +133,7 @@ def cmd_table(args):
 
 
 def cmd_distances(args):
-    cfg = _resolve_config(args)
-    catalog, disc = _pipeline(cfg)
+    cfg, catalog, disc = _pipeline(args)
     dm = distance_matrix(catalog, disc)
     lines = ["code," + ",".join(dm.codes)]
     for i, code in enumerate(dm.codes):
@@ -116,8 +143,7 @@ def cmd_distances(args):
 
 
 def cmd_tree(args):
-    cfg = _resolve_config(args)
-    catalog, disc = _pipeline(cfg)
+    cfg, catalog, disc = _pipeline(args)
     dendro = hierarchical_cluster(distance_matrix(catalog, disc))
     _write(args.out, dendro.newick() + "\n")
     if args.dot:
@@ -126,8 +152,7 @@ def cmd_tree(args):
 
 
 def cmd_embed(args):
-    cfg = _resolve_config(args)
-    catalog, disc = _pipeline(cfg)
+    cfg, catalog, disc = _pipeline(args)
     dm = distance_matrix(catalog, disc)
     emb = mds(dm, dims=cfg.dims, seed=cfg.seed, restarts=cfg.restarts)
     lines = ["code," + ",".join(f"x{i + 1}" for i in range(emb.dims)) + ",stress"]
@@ -139,8 +164,7 @@ def cmd_embed(args):
 
 
 def cmd_graph(args):
-    cfg = _resolve_config(args)
-    catalog, disc = _pipeline(cfg)
+    cfg, catalog, disc = _pipeline(args)
     dm = distance_matrix(catalog, disc)
     coords2 = mds(dm, dims=2, seed=cfg.seed, restarts=cfg.restarts).coords
     edges = sorted(delaunay_2d(coords2))
@@ -156,8 +180,7 @@ def cmd_graph(args):
 
 
 def cmd_typicality(args):
-    cfg = _resolve_config(args)
-    catalog, disc = _pipeline(cfg)
+    cfg, catalog, disc = _pipeline(args)
     dm = distance_matrix(catalog, disc)
     emb = mds(dm, dims=cfg.dims, seed=cfg.seed, restarts=cfg.restarts)
     tau = typicality(emb, dm.codes).tau
@@ -170,8 +193,7 @@ def cmd_typicality(args):
 
 
 def cmd_inherent_angles(args):
-    cfg = _resolve_config(args)
-    catalog, disc = _pipeline(cfg)
+    cfg, catalog, disc = _pipeline(args)
     header = f"inherent angles (epsilon={cfg.epsilon}, minPts={cfg.min_pts})"
     lines = [header, "-" * len(header), "  class  inherent  bin"]
     edges = [0.0] + [float(e) for e in disc.bin_edges] + [180.0]
@@ -189,38 +211,36 @@ def cmd_analyze(args):
     if args.summary == "-" and args.out in (None, "-"):
         raise ValueError("--summary - and the CSV (--out, default stdout) "
                          "cannot share stdout; write one of them to a file")
-    cfg = _resolve_config(args)
-    catalog, disc = _pipeline(cfg)
-    frames = read_frames(args.path, fmt=args.format)
-    all_lines = ["frame,id,k,m,e,label,d_e"]
+    cfg, catalog, disc = _pipeline(args)
     summary = []
-    for fi, frame in enumerate(frames):
-        rcut = args.rcut
-        if rcut is None:
-            try:
-                rcut = auto_cutoff(frame)
-            except ValueError as exc:
-                raise ValueError(f"frame {fi}: {exc}; set the cutoff "
-                                 f"explicitly with --rcut") from exc
-        nl = neighbours_cutoff(frame, rcut)
-        e, kk, mm, labels, dists = analyze_frame(frame, nl, catalog, disc)
-        es = [f"{x:.6f}" for x in e.tolist()]
-        ds = [f"{x:.6f}" for x in dists.tolist()]
-        all_lines += [f"{fi},{i},{k},{m},{ei},{lab},{di}" for i, k, m, ei, lab, di
-                      in zip(range(frame.n), kk.tolist(), mm.tolist(), es,
-                             labels, ds)]
-        codes, counts = np.unique(labels, return_counts=True)
-        finite = e[~np.isnan(e)]
-        summary.append({
-            "frame": fi,
-            "n": int(frame.n),
-            "r_cut": float(rcut),
-            "labels": dict(zip(codes.tolist(), counts.tolist())),
-            "mean_e": float(finite.mean()) if len(finite) else None,
-        })
-    _write(args.out, "\n".join(all_lines) + "\n")
-    if args.summary:
-        _write(args.summary, json.dumps(summary, indent=2) + "\n")
+    with _output(args.out) as out:
+        out.write("frame,id,k,m,e,label,d_e\n")
+        for fi, frame in enumerate(iter_frames(args.path, fmt=args.format)):
+            rcut = args.rcut
+            if rcut is None:
+                try:
+                    rcut = auto_cutoff(frame)
+                except ValueError as exc:
+                    raise ValueError(f"frame {fi}: {exc}; set the cutoff "
+                                     f"explicitly with --rcut") from exc
+            nl = neighbours_cutoff(frame, rcut)
+            e, kk, mm, labels, dists = analyze_frame(frame, nl, catalog, disc)
+            out.write("\n".join([
+                f"{fi},{i},{k},{m},{ei:.6f},{lab},{di:.6f}"
+                for i, (k, m, ei, lab, di) in enumerate(zip(
+                    kk.tolist(), mm.tolist(), e.tolist(), labels,
+                    dists.tolist()))]) + "\n")
+            codes, counts = np.unique(labels, return_counts=True)
+            finite = e[~np.isnan(e)]
+            summary.append({
+                "frame": fi,
+                "n": int(frame.n),
+                "r_cut": float(rcut),
+                "labels": dict(zip(codes.tolist(), counts.tolist())),
+                "mean_e": float(finite.mean()) if len(finite) else None,
+            })
+        if args.summary:
+            _write(args.summary, json.dumps(summary, indent=2) + "\n")
     return 0
 
 
@@ -232,8 +252,7 @@ def cmd_catalog(args):
 
 
 def cmd_axioms(args):
-    cfg = _resolve_config(args)
-    catalog, disc = _pipeline(cfg)
+    cfg, catalog, disc = _pipeline(args)
     passed, report = axioms_satisfied(disc, catalog)
     sys.stdout.write(str(report) + "\n")
     return 0 if passed else 1

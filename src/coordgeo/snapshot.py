@@ -1,5 +1,7 @@
 """Particle snapshots: file I/O, neighbour search and per-particle structure.
 
+Trajectories are streamed: iter_frames yields one frame at a time from the
+open file, so memory holds one frame whatever the file length.
 Neighbourhoods come from a cutoff search (kernels.neighbour_csr: a numpy cell
 list for every box, minimum image under a periodic box) at a given cutoff or
 at the first RDF minimum (auto_cutoff).  Each particle's bond angles are
@@ -7,13 +9,13 @@ discretized with the catalog discretizer into the catalog's descriptor
 format: k and the per-class counts f of distinct measured angles, with
 m = f.sum().  The per-particle coefficient uses k and m, and classification
 picks the nearest catalog geometry under coefficients.distances, the d_E that
-builds the distance matrix.  analyze_frame gives both from one profiling
-pass; per_particle_e and classify are views of the same pass.  Coincident
-particles raise ValueError.
+builds the distance matrix.  analyze_frame, the one per-frame function, gives
+both from one profiling pass.  Coincident particles raise ValueError.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,13 +30,12 @@ RDF_BINS = 200  # auto_cutoff's histogram bins
 
 __all__ = [
     "Frame",
+    "iter_frames",
     "read_frames",
     "write_frames",
     "NeighbourList",
     "neighbours_cutoff",
     "auto_cutoff",
-    "per_particle_e",
-    "classify",
     "analyze_frame",
     "make_lattice",
 ]
@@ -67,68 +68,94 @@ class Frame:
 
 
 def _is_atom_line(line):
-    parts = line.split()
-    if len(parts) < 4:
-        return False
     try:
-        [float(x) for x in parts[1:4]]
+        return len([float(x) for x in line.split()[1:4]]) == 3
     except ValueError:
         return False
-    return True
 
 
 def _parse_extxyz_comment(comment):
-    box = None
     key = 'Lattice="'
-    if key in comment:
-        start = comment.index(key) + len(key)
-        end = comment.index('"', start)
-        nums = [float(x) for x in comment[start:end].split()]
-        if len(nums) != 9:
-            raise ValueError("Lattice entry must hold 9 numbers")
-        box = np.array(nums).reshape(3, 3)
-    return box
+    if key not in comment:
+        return None
+    start = comment.index(key) + len(key)
+    end = comment.find('"', start)
+    if end < 0:
+        raise ValueError("unterminated Lattice entry")
+    nums = [float(x) for x in comment[start:end].split()]
+    if len(nums) != 9:
+        raise ValueError("Lattice entry must hold 9 numbers")
+    return np.array(nums).reshape(3, 3)
+
+
+def _parse_frame(path, start, comment, atoms, fmt):
+    """Frame whose atom count is on line `start`; comment is None if omitted."""
+    first = start + 1 if comment is None else start + 2
+    species, pos = [], []
+    for j, record in enumerate(atoms):
+        parts = record.split()
+        try:
+            if len(parts) < 4:
+                raise ValueError("expected 'symbol x y z'")
+            pos.append([float(parts[1]), float(parts[2]), float(parts[3])])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{first + j}: {exc}") from None
+        species.append(parts[0])
+    pos = np.array(pos)
+    bad = ~np.isfinite(pos).all(axis=1)
+    if bad.any():
+        raise ValueError(f"{path}:{first + int(np.argmax(bad))}: "
+                         f"non-finite coordinates")
+    try:  # errors of the box, from the comment line
+        box = None if fmt == "xyz" else _parse_extxyz_comment(comment or "")
+        if box is None and fmt == "extxyz":
+            raise ValueError("missing Lattice entry")
+        return Frame(positions=pos, box=box, species=species)
+    except ValueError as exc:
+        raise ValueError(f"{path}:{start + 1}: {exc}") from None
+
+
+def iter_frames(path, fmt: str = "auto"):
+    """Yield the frames of an XYZ or extended-XYZ trajectory one at a time.
+
+    fmt is "auto" (a Lattice entry gives the periodic box when present),
+    "xyz" (no box) or "extxyz" (a Lattice entry is required).  The file is
+    read as the frames are consumed, so a bad record raises, naming
+    path:line, only when its frame is reached.  A last frame may omit its
+    comment line.
+    """
+    if fmt not in ("auto", "xyz", "extxyz"):
+        raise ValueError(f"unknown format {fmt!r}; expected auto, xyz or extxyz")
+    found = False
+    with open(path) as fh:
+        lines = enumerate(fh, start=1)
+        for start, head in lines:
+            if not head.strip():
+                continue
+            try:
+                natoms = int(head)
+            except ValueError:
+                natoms = 0
+            if natoms < 1:
+                raise ValueError(f"{path}:{start}: expected a positive atom "
+                                 f"count, got {head.strip()!r}")
+            block = [text for _, text in itertools.islice(lines, natoms + 1)]
+            if len(block) == natoms + 1:
+                comment, atoms = block[0], block[1:]
+            elif len(block) == natoms and _is_atom_line(block[0]):
+                comment, atoms = None, block  # comment-less last frame
+            else:
+                raise ValueError(f"{path}:{start}: frame truncated "
+                                 f"({natoms} atoms declared)")
+            yield _parse_frame(path, start, comment, atoms, fmt)
+            found = True
+    if not found:
+        raise ValueError(f"{path}: no frames found")
 
 
 def read_frames(path, fmt: str = "auto") -> list:
-    """Read an XYZ or extended-XYZ trajectory into a list of frames."""
-    lines = Path(path).read_text().splitlines()
-    frames = []
-    i = 0
-    while i < len(lines):
-        if not lines[i].strip():
-            i += 1
-            continue
-        try:
-            natoms = int(lines[i].strip())
-        except ValueError:
-            raise ValueError(f"{path}:{i + 1}: expected atom count, got {lines[i]!r}")
-        body = i + 2  # count line + comment line precede the atom records
-        if body + natoms > len(lines):
-            # tolerate a comment-less minimal file if the atoms still fit
-            if i + 1 + natoms <= len(lines) and _is_atom_line(lines[i + 1]):
-                body = i + 1
-            else:
-                raise ValueError(f"{path}:{i + 1}: frame truncated "
-                                 f"({natoms} atoms declared)")
-        comment = lines[i + 1] if body == i + 2 else ""
-        box = None
-        if fmt in ("auto", "extended-xyz", "extxyz"):
-            box = _parse_extxyz_comment(comment)
-            if box is None and fmt in ("extended-xyz", "extxyz"):
-                raise ValueError(f"{path}:{i + 2}: missing Lattice entry")
-        species, pos = [], []
-        for j in range(natoms):
-            parts = lines[body + j].split()
-            if len(parts) < 4:
-                raise ValueError(f"{path}:{body + j + 1}: expected 'symbol x y z'")
-            species.append(parts[0])
-            pos.append([float(parts[1]), float(parts[2]), float(parts[3])])
-        frames.append(Frame(positions=np.array(pos), box=box, species=species))
-        i = body + natoms
-    if not frames:
-        raise ValueError(f"{path}: no frames found")
-    return frames
+    """Every frame of an XYZ or extended-XYZ trajectory (see iter_frames)."""
+    return list(iter_frames(path, fmt))
 
 
 def write_frames(path, frames, fmt: str = "auto") -> None:
@@ -155,21 +182,14 @@ class NeighbourList:
     indices: np.ndarray
     cutoff: float
 
-    def neighbours(self, i: int) -> np.ndarray:
-        return self.indices[self.starts[i]:self.starts[i + 1]]
-
     @property
     def counts(self) -> np.ndarray:
         return np.diff(self.starts)
 
 
-def neighbours_cutoff(frame: Frame, r_cut: float,
-                      method: str = "cell") -> NeighbourList:
-    """All neighbours within r_cut (minimum image when the frame is periodic).
-
-    method="cell" uses the cell-list kernel, "brute" the O(N^2) reference
-    path; both return identical, sorted adjacency.
-    """
+def neighbours_cutoff(frame: Frame, r_cut: float) -> NeighbourList:
+    """All neighbours within r_cut (minimum image when the frame is periodic),
+    each row sorted, from the cell-list kernel."""
     if r_cut <= 0:
         raise ValueError("r_cut must be positive")
     periodic = frame.box is not None
@@ -179,14 +199,8 @@ def neighbours_cutoff(frame: Frame, r_cut: float,
             raise ValueError(
                 f"r_cut={r_cut} exceeds half the smallest box width "
                 f"({0.5 * widths.min():.6g}); minimum image is ambiguous")
-    if method == "brute":
-        starts, idx = kernels._np_neighbour_pairs(
-            frame.positions, frame.box if periodic else None, periodic, r_cut)
-    elif method == "cell":
-        starts, idx = kernels.neighbour_csr(
-            frame.positions, frame.box if periodic else None, periodic, r_cut)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    starts, idx = kernels.neighbour_csr(
+        frame.positions, frame.box if periodic else None, periodic, r_cut)
     return NeighbourList(starts=starts, indices=idx, cutoff=float(r_cut))
 
 
@@ -221,20 +235,12 @@ def auto_cutoff(frame: Frame) -> float:
     edges = np.linspace(0.0, rmax, RDF_BINS + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
     g = hist / np.maximum(centers ** 2, 1e-12)  # shell-volume normalization
-    kernel = np.ones(5) / 5.0
-    g = np.convolve(g, kernel, mode="same")
+    g = np.convolve(g, np.ones(5) / 5.0, mode="same")
     peak = int(np.argmax(g))
     for i in range(peak + 1, len(g) - 1):
         if g[i] <= g[i - 1] and g[i] < g[i + 1]:
             return float(centers[i])
     return float(centers[min(peak + len(g) // 10, len(g) - 1)])
-
-
-def _profile(frame, nl, disc):
-    kk, fcounts = kernels.profile_particles(
-        frame.positions, frame.box, frame.box is not None,
-        nl.starts, nl.indices, disc.bin_edges)
-    return kk, fcounts, fcounts.sum(axis=1)
 
 
 def _coefficient(kk, mm):
@@ -248,44 +254,22 @@ def analyze_frame(frame: Frame, nl: NeighbourList, catalog: Catalog,
                   disc: Discretizer):
     """Coefficients and labels of every particle from one profiling pass.
 
-    Returns (e, k, m, labels, distances): per_particle_e gives the first
-    three, classify the last two.
+    Returns (e, k, m, labels, distances): e in bits; m the distinct bond
+    angles, where discretized values in one bin closer than
+    kernels.VALUE_RESOLUTION merge (this separates HCP from BPP yet ignores
+    thermal noise); labels the nearest catalog codes under d_E, ties to the
+    lower catalog index; distances in bits.  A particle with k < 2 gets
+    e = NaN, m = 0, label "-" and distance NaN.
     """
-    kk, fcounts, mm = _profile(frame, nl, disc)
+    kk, fcounts = kernels.profile_particles(
+        frame.positions, frame.box, frame.box is not None,
+        nl.starts, nl.indices, disc.bin_edges)
+    mm = fcounts.sum(axis=1)
     lab_idx, dists = kernels.classify_particles(
         kk, fcounts, *descriptor_arrays(catalog.geometries, disc))
     codes = catalog.codes
     labels = [codes[i] if i >= 0 else "-" for i in lab_idx]
     return _coefficient(kk, mm), kk, mm, labels, dists
-
-
-def per_particle_e(frame: Frame, nl: NeighbourList, disc: Discretizer):
-    """Per-particle coefficient (bits).
-
-    m counts the particle's distinct bond angles: measured values are
-    discretized, and values inside one bin closer than
-    kernels.VALUE_RESOLUTION merge into one angle.  Particles with fewer than
-    two neighbours get NaN and m = 0 rather than being dropped.  Returns
-    (e, k, m).
-    """
-    kk, _, mm = _profile(frame, nl, disc)
-    return _coefficient(kk, mm), kk, mm
-
-
-def classify(frame: Frame, nl: NeighbourList, catalog: Catalog,
-             disc: Discretizer):
-    """Nearest catalog geometry per particle under the corrected distance.
-
-    Each particle's descriptor is its bond count plus the per-class counts of
-    its distinct measured angles, the format of the catalog descriptors;
-    distinctness within a bin uses kernels.VALUE_RESOLUTION, which separates
-    geometries whose class sets coincide (HCP and BPP, for instance) while
-    staying insensitive to thermal noise.
-    Returns (labels, distances): labels are geometry codes, or "-" for
-    particles with k < 2; distances are in bits (NaN where undefined).
-    Ties go to the lower catalog index.
-    """
-    return analyze_frame(frame, nl, catalog, disc)[3:]
 
 
 _LATTICE_BASES = {
@@ -324,14 +308,9 @@ def make_lattice(kind: str, cells, a: float = 1.0, noise: float = 0.0,
         ])
     else:
         raise ValueError(f"unknown lattice {kind!r}")
-    pos = []
-    for ix in range(nx):
-        for iy in range(ny):
-            for iz in range(nz):
-                shift = np.array([ix, iy, iz], dtype=float)
-                for b in basis:
-                    pos.append((b + shift) @ cell)
-    pos = np.array(pos)
+    pos = np.array([(b + np.array(shift, dtype=float)) @ cell
+                    for shift in itertools.product(range(nx), range(ny), range(nz))
+                    for b in basis])
     box = cell * np.array([[nx], [ny], [nz]])
     if noise > 0:
         rng = np.random.default_rng(seed)

@@ -17,10 +17,11 @@ import numpy as np
 import pytest
 
 import coordgeo as cg
+from coordgeo import kernels
 from coordgeo.coefficients import (check_loose_bounds, check_upper_bound,
                                    d_e, descriptor, e_one)
 from coordgeo.shape import moment_per_neighbour, sphericity
-from coordgeo.snapshot import classify, make_lattice, neighbours_cutoff
+from coordgeo.snapshot import analyze_frame, make_lattice, neighbours_cutoff
 from coordgeo.spacemap import (_classical_mds, _smacof, class_averages,
                                hierarchical_cluster, mds, typicality,
                                verify_metric)
@@ -187,14 +188,14 @@ def test_criterion_09_snapshots(catalog, discretizer):
         t0 = time.monotonic()
         frame = make_lattice(kind, 4)
         nl = neighbours_cutoff(frame, rcut)
-        labels, dists = classify(frame, nl, catalog, discretizer)
+        labels, dists = analyze_frame(frame, nl, catalog, discretizer)[3:]
         assert set(labels) == {kind.upper()}, kind
         assert np.nanmax(dists) == 0.0, kind
         # rms displacement magnitude of 1% of the nearest-neighbour distance
         sigma = 0.01 * nn / math.sqrt(3.0)
         noisy = make_lattice(kind, 4, noise=sigma, seed=2024)
         nl2 = neighbours_cutoff(noisy, rcut)
-        labels2, _ = classify(noisy, nl2, catalog, discretizer)
+        labels2, _ = analyze_frame(noisy, nl2, catalog, discretizer)[3:]
         frac = sum(1 for s in labels2 if s == kind.upper()) / noisy.n
         worst_noisy = min(worst_noisy, frac)
         elapsed = time.monotonic() - t0
@@ -208,10 +209,11 @@ def test_criterion_09_snapshots(catalog, discretizer):
         frame = cg.Frame(positions=rng.uniform(0, 5, size=(n, 3)),
                          box=box if trial % 2 else None)
         rcut = float(rng.uniform(0.8, 1.4))
-        a = neighbours_cutoff(frame, rcut, method="cell")
-        b = neighbours_cutoff(frame, rcut, method="brute")
-        assert np.array_equal(a.starts, b.starts)
-        assert np.array_equal(a.indices, b.indices)
+        a = neighbours_cutoff(frame, rcut)
+        starts, indices = kernels._np_neighbour_pairs(
+            frame.positions, frame.box, frame.box is not None, rcut)
+        assert np.array_equal(a.starts, starts)
+        assert np.array_equal(a.indices, indices)
     print(f"\n[criterion 9] PASS snapshots: 4 ideal lattices 100% at d=0, "
           f"worst noisy retention {worst_noisy:.3f}, cell==brute")
 

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -202,8 +203,8 @@ def test_analyze_profiles_each_frame_once(tmp_path, monkeypatch, catalog,
     expect = ["frame,id,k,m,e,label,d_e"]
     for fi, frame in enumerate(cg.read_frames(xyz)):
         nl = cg.neighbours_cutoff(frame, 0.85)
-        e, kk, mm = cg.per_particle_e(frame, nl, discretizer)
-        labels, dists = cg.classify(frame, nl, catalog, discretizer)
+        e, kk, mm, labels, dists = cg.analyze_frame(frame, nl, catalog,
+                                                    discretizer)
         for i in range(frame.n):
             expect.append(f"{fi},{i},{kk[i]},{mm[i]},{e[i]:.6f},{labels[i]},"
                           f"{dists[i]:.6f}")
@@ -220,6 +221,49 @@ def test_analyze_coincident_particles_fail(tmp_path, capsys):
     assert _run(["analyze", str(xyz), "--rcut", "0.85", "--out", str(out)]) == 1
     assert "error: particle 0 coincides with particle 108" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_analyze_failure_at_a_late_frame_leaves_no_output(tmp_path, capsys):
+    frames = [make_lattice("fcc", 3, noise=0.01, seed=s) for s in range(3)]
+    frames[2] = Frame(positions=np.vstack([frames[2].positions,
+                                           frames[2].positions[:1]]),
+                      box=frames[2].box)
+    xyz = tmp_path / "dup.extxyz"
+    write_frames(xyz, frames)
+    out = tmp_path / "f.csv"
+    summ = tmp_path / "s.json"
+    assert _run(["analyze", str(xyz), "--rcut", "0.85", "--out", str(out),
+                 "--summary", str(summ)]) == 1
+    assert "error: particle 0 coincides with particle 108" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dup.extxyz"]
+
+
+def test_analyze_out_may_be_the_input(tmp_path):
+    xyz = tmp_path / "fcc.extxyz"
+    write_frames(xyz, [make_lattice("fcc", 3)])
+    expect = tmp_path / "expect.csv"
+    assert _run(["analyze", str(xyz), "--rcut", "0.85", "--out", str(expect)]) == 0
+    assert _run(["analyze", str(xyz), "--rcut", "0.85", "--out", str(xyz)]) == 0
+    assert xyz.read_text() == expect.read_text()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["expect.csv", "fcc.extxyz"]
+
+
+def test_output_files_get_the_umask_mode(tmp_path):
+    out = tmp_path / "d.csv"
+    ref = tmp_path / "ref.txt"
+    old = os.umask(0o027)
+    try:
+        ref.write_text("x")
+        assert _run(["distances", "--out", str(out)]) == 0
+    finally:
+        os.umask(old)
+    assert out.stat().st_mode == ref.stat().st_mode
+
+
+def test_output_to_a_missing_directory_names_the_output(tmp_path, capsys):
+    out = tmp_path / "nodir" / "d.csv"
+    assert _run(["distances", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.rstrip().endswith(f"'{out}'")
 
 
 def test_analyze_zero_rcut_fails(tmp_path, capsys):
@@ -261,3 +305,23 @@ def test_bad_config_rejected(tmp_path, capsys):
     cfgfile.write_text("epsilon: 2.5\n")
     rc = _run(["inherent-angles", "--config", str(cfgfile)])
     assert rc == 1
+
+
+def test_unknown_config_key_rejected(tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("epsilson = 3.5\n")
+    out = tmp_path / "disc.json"
+    assert _run(["inherent-angles", "--config", str(cfgfile), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfgfile}: unknown config key 'epsilson'")
+    for key in ("epsilon", "min_pts", "dims", "seed", "restarts"):
+        assert key in err
+    assert not out.exists()
+
+
+def test_bad_config_value_names_its_key(tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("dims = 8.5\n")
+    assert _run(["inherent-angles", "--config", str(cfgfile)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfgfile}: dims: invalid literal for int()")

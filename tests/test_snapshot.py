@@ -5,8 +5,8 @@ import pytest
 
 import coordgeo as cg
 from coordgeo import kernels
-from coordgeo.snapshot import (Frame, auto_cutoff, classify, make_lattice,
-                               neighbours_cutoff, per_particle_e, read_frames,
+from coordgeo.snapshot import (Frame, analyze_frame, auto_cutoff, iter_frames,
+                               make_lattice, neighbours_cutoff, read_frames,
                                write_frames)
 
 
@@ -57,6 +57,49 @@ def test_read_truncated_frame(tmp_path):
         read_frames(p)
 
 
+@pytest.mark.parametrize("text, where, what", [
+    ("2\nc\nX 0 0 0\nX abc 0 0\n", 4, "could not convert string to float: 'abc'"),
+    ('1\nLattice="1 0 0 0 1 0 0 0 1\nX 0 0 0\n', 2, "unterminated Lattice entry"),
+    ('1\nLattice="1 0 0 0 1 0 0 0\" x\nX 0 0 0\n', 2, "9 numbers"),
+    ('1\nLattice="1 0 0 0 1 0 0 0 q"\nX 0 0 0\n', 2, "could not convert"),
+    ('1\nLattice="1 0 0 0 1 0 0 0 0"\nX 0 0 0\n', 2, "singular periodic box"),
+    ("1\nc\nX 0 0 0\n2\nc\nX 0 0 0\nX 0 nan 0\n", 7, "non-finite coordinates"),
+    ("1\nc\nX 0 0 0\n2\nc\nX 0 0 0\nX 0 inf\n", 7, "expected 'symbol x y z'"),
+    ("1\nc\nX 0 0 0\n\n0\nc\n", 5, "positive atom count"),
+    ("2\nX 0 0 0\nX 1 0 nan\n", 3, "non-finite coordinates"),
+], ids=["float", "unterminated-lattice", "short-lattice", "lattice-float",
+        "singular-box", "nan", "short-record", "zero-count", "nan-no-comment"])
+def test_read_errors_name_the_line(tmp_path, text, where, what):
+    p = tmp_path / "bad.xyz"
+    p.write_text(text)
+    with pytest.raises(ValueError, match=f"bad.xyz:{where}: .*{what}"):
+        read_frames(p)
+
+
+def test_read_format_is_checked(tmp_path):
+    p = tmp_path / "one.xyz"
+    p.write_text('1\nLattice="3 0 0 0 3 0 0 0 3"\nX 0 0 0\n')
+    assert read_frames(p, fmt="xyz")[0].box is None
+    assert read_frames(p, fmt="auto")[0].box is not None
+    assert read_frames(p, fmt="extxyz")[0].box is not None
+    for fmt in ("bogus", "extended-xyz"):
+        with pytest.raises(ValueError, match="unknown format"):
+            read_frames(p, fmt=fmt)
+    p.write_text("1\nno box\nX 0 0 0\n")
+    with pytest.raises(ValueError, match="one.xyz:2: missing Lattice"):
+        read_frames(p, fmt="extxyz")
+
+
+def test_iter_frames_is_lazy(tmp_path):
+    p = tmp_path / "two.xyz"
+    p.write_text("1\nfirst\nA 0 0 0\n3\nsecond\nB 1 2 3\n")
+    frames = iter_frames(p)
+    first = next(frames)
+    assert first.species == ["A"]
+    with pytest.raises(ValueError, match="two.xyz:4: frame truncated"):
+        next(frames)
+
+
 def test_neighbours_fcc_first_shell():
     fr = make_lattice("fcc", 4)  # a = 1, first shell at 1/sqrt(2)
     nl = neighbours_cutoff(fr, 0.85)
@@ -91,10 +134,11 @@ def test_cell_equals_brute_random():
         fr = Frame(positions=rng.uniform(0.0, 4.0, size=(n, 3)),
                    box=box if trial % 2 == 0 else None)
         rcut = float(rng.uniform(0.7, 1.5))
-        a = neighbours_cutoff(fr, rcut, method="cell")
-        b = neighbours_cutoff(fr, rcut, method="brute")
-        assert np.array_equal(a.starts, b.starts)
-        assert np.array_equal(a.indices, b.indices)
+        a = neighbours_cutoff(fr, rcut)
+        starts, indices = kernels._np_neighbour_pairs(
+            fr.positions, fr.box, fr.box is not None, rcut)
+        assert np.array_equal(a.starts, starts)
+        assert np.array_equal(a.indices, indices)
 
 
 def test_per_particle_e_ideal_lattices(catalog, discretizer):
@@ -102,25 +146,28 @@ def test_per_particle_e_ideal_lattices(catalog, discretizer):
                                ("bcc", 1.2, 3.923), ("sc", 1.2, 2.907)):
         fr = make_lattice(kind, 3)
         nl = neighbours_cutoff(fr, rcut)
-        e, kk, mm = per_particle_e(fr, nl, discretizer)
+        e, kk, mm = analyze_frame(fr, nl, catalog, discretizer)[:3]
         assert np.all(np.isfinite(e)), kind
         assert np.allclose(e, expect, atol=0.0005), kind
         assert np.ptp(e) < 1e-12  # constant across interior particles
 
 
-def test_per_particle_low_k_flagged(discretizer):
+def test_per_particle_low_k_flagged(catalog, discretizer):
     fr = Frame(positions=np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
     nl = neighbours_cutoff(fr, 1.5)
-    e, kk, mm = per_particle_e(fr, nl, discretizer)
+    e, kk, mm, labels, dists = analyze_frame(fr, nl, catalog, discretizer)
     assert np.all(np.isnan(e))
     assert kk.tolist() == [1, 1]
+    assert mm.tolist() == [0, 0]
+    assert labels == ["-", "-"]
+    assert np.all(np.isnan(dists))
 
 
 def test_classify_ideal_lattices(catalog, discretizer):
     for kind, rcut in (("fcc", 0.85), ("bcc", 1.2), ("sc", 1.2), ("hcp", 1.2)):
         fr = make_lattice(kind, 4)
         nl = neighbours_cutoff(fr, rcut)
-        labels, dists = classify(fr, nl, catalog, discretizer)
+        labels, dists = analyze_frame(fr, nl, catalog, discretizer)[3:]
         assert set(labels) == {kind.upper()}, kind
         assert np.nanmax(dists) == 0.0, kind
 
@@ -132,7 +179,7 @@ def test_classify_isolated_ideal_neighbourhood(catalog, discretizer, code):
     rmax = float(np.linalg.norm(g.vertices, axis=1).max())
     fr = Frame(positions=pos)
     nl = neighbours_cutoff(fr, rmax + 1e-6)
-    labels, dists = classify(fr, nl, catalog, discretizer)
+    labels, dists = analyze_frame(fr, nl, catalog, discretizer)[3:]
     assert labels[0] == code
     assert dists[0] == 0.0
 
@@ -141,7 +188,7 @@ def test_noisy_fcc_majority(catalog, discretizer):
     nn = 1.0 / math.sqrt(2.0)
     fr = make_lattice("fcc", 4, noise=0.01 * nn / math.sqrt(3.0), seed=9)
     nl = neighbours_cutoff(fr, 0.85)
-    labels, _ = classify(fr, nl, catalog, discretizer)
+    labels, _ = analyze_frame(fr, nl, catalog, discretizer)[3:]
     frac = sum(1 for s in labels if s == "FCC") / fr.n
     assert frac >= 0.95
 
@@ -152,9 +199,7 @@ def test_coincident_particles_rejected(catalog, discretizer):
     dup = Frame(positions=pos, box=fr.box)
     nl = neighbours_cutoff(dup, 0.85)
     with pytest.raises(ValueError, match="particle 5 coincides with particle 108"):
-        per_particle_e(dup, nl, discretizer)
-    with pytest.raises(ValueError, match="particle 5 coincides"):
-        classify(dup, nl, catalog, discretizer)
+        analyze_frame(dup, nl, catalog, discretizer)
 
 
 def test_auto_cutoff_fcc():
@@ -171,11 +216,12 @@ def _auto_cutoff_loop(frame):
     else:
         span = frame.positions.max(axis=0) - frame.positions.min(axis=0)
         rmax = max(float(np.linalg.norm(span)) / 2.0, 1e-9)
-    nl = neighbours_cutoff(frame, rmax, method="brute")
+    starts, indices = kernels._np_neighbour_pairs(
+        frame.positions, frame.box, frame.box is not None, rmax)
     dists = []
     inv = np.linalg.inv(frame.box) if frame.box is not None else None
     for i in range(frame.n):
-        js = nl.neighbours(i)
+        js = indices[starts[i]:starts[i + 1]]
         js = js[js > i]
         if len(js) == 0:
             continue
