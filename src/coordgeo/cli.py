@@ -29,8 +29,6 @@ class RunConfig:
     restarts: int = 20
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
         if self.dims < 1:
             raise ValueError("dims must be at least 1")
         if self.restarts < 1:
@@ -254,7 +252,7 @@ def cmd_catalog(args):
 def cmd_axioms(args):
     cfg, catalog, disc = _pipeline(args)
     passed, report = axioms_satisfied(disc, catalog)
-    sys.stdout.write(str(report) + "\n")
+    _write(args.out, str(report) + "\n")
     return 0 if passed else 1
 
 

@@ -1,15 +1,17 @@
 """Hot numeric kernels: neighbour search, per-particle angle profiling, classification.
 
 Each kernel has one numpy implementation and no per-particle Python loop.
-Neighbour search is a vectorised cell list (Allen & Tildesley, Computer
-Simulation of Liquids, sec. 5.3) for every box, thin slabs and open frames
-included; the O(N^2) brute force stays only as its test reference.  The angle
-profile is batched by coordination number k: one minimum-image step for all
-bond vectors, then one stacked Gram matrix per k, and _count_clusters runs
-only on the bins that hold a gap above VALUE_RESOLUTION.  A particle's profile
-is the catalog's descriptor format, (k, per-class distinct-angle counts), so
-classification takes d_E from coefficients.distances, the function that
-builds the distance matrix.
+One vectorised cell list, pairs_within (Allen & Tildesley, Computer Simulation
+of Liquids, sec. 5.3), finds the pairs within a radius for every box, thin
+slabs and open frames (box None) included, each pair once: neighbour_csr
+mirrors them into CSR rows and snapshot.auto_cutoff bins their distances; the
+O(N^2) brute force is only the test reference.  The angle profile is batched
+by coordination number k: one minimum-image step for all bond vectors, then
+one stacked Gram matrix per k, and _count_clusters runs only on the bins that
+hold a gap above VALUE_RESOLUTION.  A particle's profile is the catalog's
+descriptor format, (k, per-class distinct-angle counts), so classification
+takes d_E from coefficients.distances, the function that builds the distance
+matrix.
 """
 
 import numpy as np
@@ -48,12 +50,11 @@ def _pair_r2(pos, i, j, box, inv):
     return _dot3(d, d)
 
 
-def _np_neighbour_pairs(pos, box, periodic, rcut):
+def _np_neighbour_pairs(pos, box, rcut):
     """O(N^2) reference search: CSR neighbour lists within rcut, rows sorted."""
     pos = np.ascontiguousarray(pos, dtype=np.float64)
     n = len(pos)
-    box = box if periodic else None
-    inv = np.linalg.inv(box) if periodic else None
+    inv = None if box is None else np.linalg.inv(box)
     chunk = max(1, int(4e6 // n))
     counts = np.zeros(n, dtype=np.int64)
     idx = []
@@ -68,25 +69,27 @@ def _np_neighbour_pairs(pos, box, periodic, rcut):
     return starts, np.concatenate(idx).astype(np.int64)
 
 
-def neighbour_csr(pos, box, periodic, rcut):
-    """CSR neighbour lists within rcut (minimum image when periodic).
+def pairs_within(pos, box, rcut):
+    """Yield (i, j, r2) chunks of the pairs i < j within rcut, each pair once.
 
-    Particles are sorted by cell; the candidates of a particle are the members
-    of the stencil cells around its own, kept if within rcut.  A periodic axis
-    with fewer than 3 cells visits each of its cells once (offsets -1, 0, 1
-    would wrap onto one cell twice).  Output equals _np_neighbour_pairs.
+    Minimum image unless box is None (an open frame).  Particles are sorted by
+    cell; a particle's candidates are the higher-indexed members of the
+    stencil cells around its own.  A periodic axis with fewer than 3 cells
+    visits each of its cells once (offsets -1, 0, 1 would wrap onto one cell
+    twice).  A chunk holds the owners of about _PAIR_BUDGET candidates.
     """
     pos = np.ascontiguousarray(pos, dtype=np.float64)
     n = len(pos)
     # a hair of slack keeps every cell wider than rcut despite rounding
     cell_len = rcut * (1.0 + 1e-9)
+    periodic = box is not None
     if periodic:
         inv = np.linalg.inv(box)
         frac = pos @ inv
         frac -= np.floor(frac)
         ncell = _perpendicular_widths(box) // cell_len
     else:
-        box = inv = None
+        inv = None
         lo = pos.min(axis=0)
         span = pos.max(axis=0) - lo
         ncell = span // cell_len
@@ -100,8 +103,6 @@ def neighbour_csr(pos, box, periodic, rcut):
     members = np.bincount(cid, minlength=int(ncell.prod()))
     first = np.cumsum(members) - members
     chunk = max(1, _PAIR_BUDGET // (len(stencil) * int(members.max())))
-    counts = np.zeros(n, dtype=np.int64)
-    idx = []
     for lo in range(0, n, chunk):
         hi = min(n, lo + chunk)
         # the stencil cells of each particle and the candidates each holds
@@ -118,15 +119,22 @@ def neighbour_csr(pos, box, periodic, rcut):
         i = np.repeat(i, size)
         ends = np.cumsum(size)
         j = order[np.arange(ends[-1]) + np.repeat(first[near] - ends + size, size)]
-        keep = i != j
+        keep = i < j
         i, j = i[keep], j[keep]
-        keep = _pair_r2(pos, i, j, box, inv) <= rcut * rcut
-        # CSR order: by particle, then by neighbour index
-        key = np.sort((i[keep] - lo) * n + j[keep])
-        counts[lo:hi] = np.bincount(key // n, minlength=hi - lo)
-        idx.append(key % n)
-    starts = np.concatenate([[0], np.cumsum(counts)])
-    return starts, np.concatenate(idx).astype(np.int64)
+        r2 = _pair_r2(pos, i, j, box, inv)
+        keep = r2 <= rcut * rcut
+        yield i[keep], j[keep], r2[keep]
+
+
+def neighbour_csr(pos, box, rcut):
+    """CSR neighbour lists within rcut: each pair of pairs_within in the rows
+    of both its particles, rows sorted.  Output equals _np_neighbour_pairs."""
+    n = len(pos)
+    key = np.concatenate([np.concatenate([i * n + j, j * n + i])
+                          for i, j, _ in pairs_within(pos, box, rcut)])
+    key.sort()
+    starts = np.concatenate([[0], np.cumsum(np.bincount(key // n, minlength=n))])
+    return starts, key % n
 
 
 def _flat(cell, ncell):
@@ -176,7 +184,7 @@ def _count_clusters(vals):
     return len(bounds) + 1
 
 
-def profile_particles(pos, box, periodic, starts, idx, edges):
+def profile_particles(pos, box, starts, idx, edges):
     """Bond-angle profile of every particle: (k, per-class angle counts).
 
     Batched by coordination number: all bond vectors are taken in one
@@ -195,7 +203,7 @@ def profile_particles(pos, box, periodic, starts, idx, edges):
     fcounts = np.zeros((n, len(edges) + 1), dtype=np.int64)
     owners = np.repeat(np.arange(n), kk)
     vec = pos[idx] - pos[owners]
-    if periodic:
+    if box is not None:
         f = vec @ np.linalg.inv(box)
         f -= np.rint(f)
         vec = f @ box

@@ -4,13 +4,14 @@ Trajectories are streamed: iter_frames yields one frame at a time from the
 open file, so memory holds one frame whatever the file length.
 Neighbourhoods come from a cutoff search (kernels.neighbour_csr: a numpy cell
 list for every box, minimum image under a periodic box) at a given cutoff or
-at the first RDF minimum (auto_cutoff).  Each particle's bond angles are
-discretized with the catalog discretizer into the catalog's descriptor
-format: k and the per-class counts f of distinct measured angles, with
-m = f.sum().  The per-particle coefficient uses k and m, and classification
-picks the nearest catalog geometry under coefficients.distances, the d_E that
-builds the distance matrix.  analyze_frame, the one per-frame function, gives
-both from one profiling pass.  Coincident particles raise ValueError.
+at the first RDF minimum (auto_cutoff, binned from the same cell list).  Each
+particle's bond angles are discretized with the catalog discretizer into the
+catalog's descriptor format: k and the per-class counts f of distinct
+measured angles, with m = f.sum().  The per-particle coefficient uses k and
+m, and classification picks the nearest catalog geometry under
+coefficients.distances, the d_E that builds the distance matrix.
+analyze_frame, the one per-frame function, gives both from one profiling
+pass.  Coincident particles raise ValueError.
 """
 
 from __future__ import annotations
@@ -190,17 +191,15 @@ class NeighbourList:
 def neighbours_cutoff(frame: Frame, r_cut: float) -> NeighbourList:
     """All neighbours within r_cut (minimum image when the frame is periodic),
     each row sorted, from the cell-list kernel."""
-    if r_cut <= 0:
+    if not r_cut > 0:
         raise ValueError("r_cut must be positive")
-    periodic = frame.box is not None
-    if periodic:
+    if frame.box is not None:
         widths = kernels._perpendicular_widths(frame.box)
         if r_cut > 0.5 * widths.min():
             raise ValueError(
                 f"r_cut={r_cut} exceeds half the smallest box width "
                 f"({0.5 * widths.min():.6g}); minimum image is ambiguous")
-    starts, idx = kernels.neighbour_csr(
-        frame.positions, frame.box if periodic else None, periodic, r_cut)
+    starts, idx = kernels.neighbour_csr(frame.positions, frame.box, r_cut)
     return NeighbourList(starts=starts, indices=idx, cutoff=float(r_cut))
 
 
@@ -208,7 +207,7 @@ def auto_cutoff(frame: Frame) -> float:
     """Cutoff at the first minimum of the radial distribution function.
 
     Pair distances up to half the box width (half the diagonal of an open
-    frame) are binned straight from row chunks of all pairs.
+    frame) are binned from the cell list, kernels.pairs_within.
 
     Structures whose first two shells nearly coincide (the 8+6 split of a
     body-centred cubic crystal, for instance) keep a genuine RDF minimum
@@ -221,14 +220,8 @@ def auto_cutoff(frame: Frame) -> float:
     else:
         span = pos.max(axis=0) - pos.min(axis=0)
         rmax = max(float(np.linalg.norm(span)) / 2.0, 1e-9)
-    inv = np.linalg.inv(box) if box is not None else None
-    cols = np.arange(frame.n)
-    chunk = max(1, int(4e6 // frame.n))
     hist = np.zeros(RDF_BINS, dtype=np.int64)
-    for lo in range(0, frame.n, chunk):
-        rows = cols[lo:lo + chunk, None]
-        r2 = kernels._pair_r2(pos, rows, cols[None, :], box, inv)
-        r2 = r2[(cols > rows) & (r2 <= rmax * rmax)]
+    for _, _, r2 in kernels.pairs_within(pos, box, rmax):
         hist += np.histogram(np.sqrt(r2), RDF_BINS, range=(0.0, rmax))[0]
     if not hist.any():
         raise ValueError("no pairs found; cannot estimate a cutoff")
@@ -262,8 +255,7 @@ def analyze_frame(frame: Frame, nl: NeighbourList, catalog: Catalog,
     e = NaN, m = 0, label "-" and distance NaN.
     """
     kk, fcounts = kernels.profile_particles(
-        frame.positions, frame.box, frame.box is not None,
-        nl.starts, nl.indices, disc.bin_edges)
+        frame.positions, frame.box, nl.starts, nl.indices, disc.bin_edges)
     mm = fcounts.sum(axis=1)
     lab_idx, dists = kernels.classify_particles(
         kk, fcounts, *descriptor_arrays(catalog.geometries, disc))

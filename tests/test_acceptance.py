@@ -210,8 +210,8 @@ def test_criterion_09_snapshots(catalog, discretizer):
                          box=box if trial % 2 else None)
         rcut = float(rng.uniform(0.8, 1.4))
         a = neighbours_cutoff(frame, rcut)
-        starts, indices = kernels._np_neighbour_pairs(
-            frame.positions, frame.box, frame.box is not None, rcut)
+        starts, indices = kernels._np_neighbour_pairs(frame.positions,
+                                                      frame.box, rcut)
         assert np.array_equal(a.starts, starts)
         assert np.array_equal(a.indices, indices)
     print(f"\n[criterion 9] PASS snapshots: 4 ideal lattices 100% at d=0, "

@@ -52,10 +52,9 @@ def test_derive_singleton_pool():
 
 def test_derive_rejects_bad_epsilon():
     pool = AnglePool(values=np.array([90.0]), sources=("A",))
-    with pytest.raises(ValueError):
-        derive_discretizer(pool, epsilon=0.0)
-    with pytest.raises(ValueError):
-        derive_discretizer(pool, epsilon=-1.0)
+    for eps in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            derive_discretizer(pool, epsilon=eps)
 
 
 def test_derive_min_pts_noise():

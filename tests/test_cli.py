@@ -270,9 +270,24 @@ def test_analyze_zero_rcut_fails(tmp_path, capsys):
     xyz = tmp_path / "fcc.extxyz"
     write_frames(xyz, [make_lattice("fcc", 3)])
     out = tmp_path / "pp.csv"
-    assert _run(["analyze", str(xyz), "--rcut", "0", "--out", str(out)]) == 1
-    assert "error: r_cut must be positive" in capsys.readouterr().err
+    for rcut in ("0", "nan"):
+        assert _run(["analyze", str(xyz), "--rcut", rcut, "--out", str(out)]) == 1
+        assert "error: r_cut must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_nan_epsilon_fails(tmp_path, capsys):
+    out = tmp_path / "disc.json"
+    assert _run(["inherent-angles", "--epsilon", "nan", "--out", str(out)]) == 1
+    assert "error: epsilon must be positive" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_axioms_out_file(tmp_path, capsys):
+    out = tmp_path / "axioms.txt"
+    assert _run(["axioms", "--out", str(out)]) == 0
+    assert "axioms satisfied" in out.read_text()
+    assert capsys.readouterr().out == ""
 
 
 def test_analyze_missing_file(tmp_path, capsys):

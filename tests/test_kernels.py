@@ -23,13 +23,13 @@ def setup(catalog, discretizer):
     return fr, discretizer.bin_edges, cat
 
 
-def _cell_list_vs_brute(pos, box, periodic, rcut):
+def _cell_list_vs_brute(pos, box, rcut):
     """neighbour_csr equals the brute force, which it never calls."""
     with mock.patch.object(kernels, "_np_neighbour_pairs",
                            wraps=kernels._np_neighbour_pairs) as brute:
-        s1, i1 = kernels.neighbour_csr(pos, box, periodic, rcut)
+        s1, i1 = kernels.neighbour_csr(pos, box, rcut)
     assert not brute.called
-    s2, i2 = kernels._np_neighbour_pairs(pos, box, periodic, rcut)
+    s2, i2 = kernels._np_neighbour_pairs(pos, box, rcut)
     assert np.array_equal(s1, s2)
     assert np.array_equal(i1, i2)
 
@@ -37,11 +37,11 @@ def _cell_list_vs_brute(pos, box, periodic, rcut):
 def test_neighbour_backends_agree(setup):
     fr, _, _ = setup
     # the open frame spans 3.5 along x: 3 cells there at rcut 1.1
-    for periodic, rcut in ((True, 1.2), (False, 1.1)):
-        _cell_list_vs_brute(fr.positions, fr.box, periodic, rcut)
+    for box, rcut in ((fr.box, 1.2), (None, 1.1)):
+        _cell_list_vs_brute(fr.positions, box, rcut)
     # a periodic slab two cells thick
     slab = make_lattice("fcc", (6, 6, 2), noise=0.004, seed=5)
-    _cell_list_vs_brute(slab.positions, slab.box, True, 0.85)
+    _cell_list_vs_brute(slab.positions, slab.box, 0.85)
 
 
 @settings(max_examples=60, deadline=None)
@@ -63,7 +63,7 @@ def test_cell_list_equals_brute_force(seed, n, periodic, cells, slack, tilt):
     assume(width > 0.0)
     # the narrowest axis gets `cells` cells of at least rcut
     rcut = width / (cells + slack)
-    _cell_list_vs_brute(pos, box, periodic, rcut)
+    _cell_list_vs_brute(pos, box if periodic else None, rcut)
 
 
 def test_profile_counts_sum_to_m(setup):
@@ -71,30 +71,29 @@ def test_profile_counts_sum_to_m(setup):
     # m is the row sum of the counts by construction; the open frame adds an
     # isolated particle (k = 0) and an isolated pair (k = 1)
     lone = np.vstack([fr.positions, [[50.0, 0, 0], [0, 50.0, 0], [0, 50.5, 0]]])
-    for pos, periodic in ((fr.positions, True), (lone, False)):
-        starts, idx = kernels.neighbour_csr(pos, fr.box, periodic, 1.2)
-        kk, fcounts = kernels.profile_particles(pos, fr.box, periodic,
-                                                starts, idx, edges)
+    for pos, box in ((fr.positions, fr.box), (lone, None)):
+        starts, idx = kernels.neighbour_csr(pos, box, 1.2)
+        kk, fcounts = kernels.profile_particles(pos, box, starts, idx, edges)
         assert np.all(fcounts[kk >= 2].sum(axis=1) >= 1)
         assert not fcounts[kk < 2].any()
     assert list(kk[-3:]) == [0, 1, 1]
 
 
-def _profile_loop(pos, box, periodic, starts, idx, edges):
+def _profile_loop(pos, box, starts, idx, edges):
     """Reference profile_particles: one particle at a time."""
     pos = np.ascontiguousarray(pos, dtype=np.float64)
     edges = np.ascontiguousarray(edges, dtype=np.float64)
     n = len(pos)
     kk = np.diff(starts).astype(np.int64)
     fcounts = np.zeros((n, len(edges) + 1), dtype=np.int64)
-    inv = np.linalg.inv(box) if periodic else None
+    inv = None if box is None else np.linalg.inv(box)
     for i in range(n):
         k = kk[i]
         if k == 0:
             continue
         nbrs = idx[starts[i]:starts[i + 1]]
         vec = pos[nbrs] - pos[i]
-        if periodic:
+        if box is not None:
             f = vec @ inv
             f -= np.rint(f)
             vec = f @ box
@@ -114,9 +113,9 @@ def _profile_loop(pos, box, periodic, starts, idx, edges):
     return kk, fcounts
 
 
-def _assert_profile_as_loop(pos, box, periodic, rcut, edges):
-    starts, idx = kernels.neighbour_csr(pos, box, periodic, rcut)
-    args = (pos, box, periodic, starts, idx, edges)
+def _assert_profile_as_loop(pos, box, rcut, edges):
+    starts, idx = kernels.neighbour_csr(pos, box, rcut)
+    args = (pos, box, starts, idx, edges)
     try:
         ref = _profile_loop(*args)
     except ValueError as exc:
@@ -151,7 +150,7 @@ def test_profile_equals_particle_loop_random(setup, seed, n, periodic, tilt,
     rcut = reach * (abs(np.linalg.det(box)) / len(pos)) ** (1 / 3)
     if periodic:
         rcut = min(rcut, 0.49 * kernels._perpendicular_widths(box).min())
-    kk = _assert_profile_as_loop(pos, box, periodic, rcut, edges)
+    kk = _assert_profile_as_loop(pos, box if periodic else None, rcut, edges)
     assert (kk is None) == (twins > 0)
 
 
@@ -166,8 +165,8 @@ def test_profile_equals_particle_loop_lattices(setup, kind, noise, seed,
     pos = fr.positions
     if not periodic:
         pos = np.vstack([pos, [[50.0, 0, 0], [0, 50.0, 0], [0, 50.5, 0]]])
-    kk = _assert_profile_as_loop(pos, fr.box, periodic, _LATTICE_RCUT[kind],
-                                 edges)
+    kk = _assert_profile_as_loop(pos, fr.box if periodic else None,
+                                 _LATTICE_RCUT[kind], edges)
     assert (kk >= 2).any()
     if not periodic:
         assert list(kk[-3:]) == [0, 1, 1] and len(set(kk.tolist())) > 2
@@ -179,8 +178,8 @@ def test_profile_coincident_message(setup):
     pos = fr.positions
     # particle 5 gets two twins at the end, then comes a coincident lone pair
     pos = np.vstack([pos, pos[[5, 5]], [[50.0, 0, 0], [50.0, 0, 0]]])
-    starts, idx = kernels.neighbour_csr(pos, fr.box, False, 1.2)
-    args = (pos, fr.box, False, starts, idx, edges)
+    starts, idx = kernels.neighbour_csr(pos, None, 1.2)
+    args = (pos, None, starts, idx, edges)
     n = len(fr.positions)
     msg = re.escape(f"particle 5 coincides with particle {n} (zero-length bond)")
     with pytest.raises(ValueError, match=msg):
@@ -188,9 +187,9 @@ def test_profile_coincident_message(setup):
     with pytest.raises(ValueError, match=msg):
         kernels.profile_particles(*args)
     # the k = 1 pair alone still raises
-    starts, idx = kernels.neighbour_csr(pos[-2:], None, False, 1.2)
+    starts, idx = kernels.neighbour_csr(pos[-2:], None, 1.2)
     with pytest.raises(ValueError, match="particle 0 coincides with particle 1"):
-        kernels.profile_particles(pos[-2:], None, False, starts, idx, edges)
+        kernels.profile_particles(pos[-2:], None, starts, idx, edges)
 
 
 def _classify_loop(kk, fcounts, cat_k, cat_f):
@@ -233,9 +232,9 @@ def test_classify_equals_particle_loop(setup):
                               ("sc", 1.2, 0.0), ("hcp", 1.2, 0.0),
                               ("fcc", 0.85, 0.03), ("bcc", 0.9, 0.05)):
         fr = make_lattice(kind, 3, noise=noise, seed=7)
-        starts, idx = kernels.neighbour_csr(fr.positions, fr.box, True, rcut)
-        kk, fcounts = kernels.profile_particles(fr.positions, fr.box, True,
-                                                starts, idx, edges)
+        starts, idx = kernels.neighbour_csr(fr.positions, fr.box, rcut)
+        kk, fcounts = kernels.profile_particles(fr.positions, fr.box, starts,
+                                                idx, edges)
         _assert_classify_as_loop(kk, fcounts, cat)
     # small random descriptors, k of 0 and 1 among them
     rng = np.random.default_rng(3)
@@ -258,19 +257,18 @@ def test_classify_equals_particle_loop(setup):
     _assert_classify_as_loop(kk, fcounts, cat)
 
 
-def _margin(pos, box, periodic, rcut, edges):
+def _margin(pos, box, rcut, edges):
     """How far the frame sits from every decision the profile makes: pair
     distances from rcut, angles from the bin edges, and same-bin gaps from
     VALUE_RESOLUTION and twice it (the merge thresholds of _count_clusters)."""
-    box = box if periodic else None
-    inv = np.linalg.inv(box) if periodic else None
+    inv = None if box is None else np.linalg.inv(box)
     n = len(pos)
     r = np.sqrt(kernels._pair_r2(pos, np.arange(n)[:, None],
                                  np.arange(n)[None, :], box, inv))
     out = [np.abs(r[~np.eye(n, dtype=bool)] - rcut).min()]
     for i in range(n):
         vec = pos[np.flatnonzero((r[i] <= rcut) & (np.arange(n) != i))] - pos[i]
-        if periodic:
+        if box is not None:
             f = vec @ inv
             vec = (f - np.rint(f)) @ box
         if len(vec) < 2:
@@ -286,10 +284,9 @@ def _margin(pos, box, periodic, rcut, edges):
     return min(out)
 
 
-def _profile_and_labels(pos, box, periodic, rcut, edges, cat):
-    starts, idx = kernels.neighbour_csr(pos, box, periodic, rcut)
-    kk, fcounts = kernels.profile_particles(pos, box, periodic, starts, idx,
-                                            edges)
+def _profile_and_labels(pos, box, rcut, edges, cat):
+    starts, idx = kernels.neighbour_csr(pos, box, rcut)
+    kk, fcounts = kernels.profile_particles(pos, box, starts, idx, edges)
     return kk, fcounts, kernels.classify_particles(kk, fcounts, *cat)[0]
 
 
@@ -304,13 +301,15 @@ def test_profile_invariant_under_motion_and_relabelling(setup, kind, noise, seed
     _, edges, cat = setup
     fr = make_lattice(kind, 3, noise=noise, seed=seed)
     rcut = _LATTICE_RCUT[kind]
-    assume(_margin(fr.positions, fr.box, periodic, rcut, edges) > 1e-6)
+    box = fr.box if periodic else None
+    assume(_margin(fr.positions, box, rcut, edges) > 1e-6)
     rng = np.random.default_rng(seed)
     rot, _ = np.linalg.qr(rng.normal(size=(3, 3)))
     rot *= np.sign(np.linalg.det(rot))
     perm = rng.permutation(fr.n)
-    ref = _profile_and_labels(fr.positions, fr.box, periodic, rcut, edges, cat)
+    ref = _profile_and_labels(fr.positions, box, rcut, edges, cat)
     moved = _profile_and_labels((fr.positions @ rot.T + shift)[perm],
-                                fr.box @ rot.T, periodic, rcut, edges, cat)
+                                None if box is None else box @ rot.T, rcut,
+                                edges, cat)
     for a, b in zip(ref, moved):
         assert np.array_equal(a[perm], b)

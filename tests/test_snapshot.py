@@ -120,8 +120,9 @@ def test_neighbours_single_particle():
 
 def test_neighbours_rcut_validation():
     fr = make_lattice("sc", 3)
-    with pytest.raises(ValueError):
-        neighbours_cutoff(fr, -1.0)
+    for bad in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match="positive"):
+            neighbours_cutoff(fr, bad)
     with pytest.raises(ValueError, match="half"):
         neighbours_cutoff(fr, 2.0)  # box is 3x3x3
 
@@ -135,8 +136,8 @@ def test_cell_equals_brute_random():
                    box=box if trial % 2 == 0 else None)
         rcut = float(rng.uniform(0.7, 1.5))
         a = neighbours_cutoff(fr, rcut)
-        starts, indices = kernels._np_neighbour_pairs(
-            fr.positions, fr.box, fr.box is not None, rcut)
+        starts, indices = kernels._np_neighbour_pairs(fr.positions, fr.box,
+                                                      rcut)
         assert np.array_equal(a.starts, starts)
         assert np.array_equal(a.indices, indices)
 
@@ -216,8 +217,8 @@ def _auto_cutoff_loop(frame):
     else:
         span = frame.positions.max(axis=0) - frame.positions.min(axis=0)
         rmax = max(float(np.linalg.norm(span)) / 2.0, 1e-9)
-    starts, indices = kernels._np_neighbour_pairs(
-        frame.positions, frame.box, frame.box is not None, rmax)
+    starts, indices = kernels._np_neighbour_pairs(frame.positions, frame.box,
+                                                  rmax)
     dists = []
     inv = np.linalg.inv(frame.box) if frame.box is not None else None
     for i in range(frame.n):
@@ -252,6 +253,8 @@ def test_auto_cutoff_equals_particle_loop():
         for noise in (0.01, 0.05):
             fr = make_lattice(kind, cells, noise=noise, seed=2)
             frames += [fr, Frame(positions=fr.positions)]
+    # 8 cells along x at rmax: the cell list prunes candidates
+    frames.append(make_lattice("fcc", (12, 3, 3), noise=0.02, seed=3))
     rng = np.random.default_rng(11)
     for n in (2, 40, 300):
         box = np.diag(rng.uniform(3.0, 6.0, size=3))
