@@ -195,8 +195,8 @@ def derive_discretizer(pool: AnglePool, min_pts: int = 1, epsilon: float = 2.85,
     "mode" uses the highest-multiplicity member (ties resolved toward the
     weighted mean).  A cluster containing 180 is represented by 180 itself.
     """
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
+    if not 0 < epsilon < np.inf:
+        raise ValueError("epsilon must be positive and finite")
     if min_pts < 1:
         raise ValueError("min_pts must be at least 1")
     if len(pool.values) == 0:

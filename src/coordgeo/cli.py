@@ -238,7 +238,9 @@ def cmd_analyze(args):
                 "mean_e": float(finite.mean()) if len(finite) else None,
             })
         if args.summary:
-            _write(args.summary, json.dumps(summary, indent=2) + "\n")
+            # allow_nan=False: never write a non-finite number as invalid JSON
+            _write(args.summary,
+                   json.dumps(summary, indent=2, allow_nan=False) + "\n")
     return 0
 
 

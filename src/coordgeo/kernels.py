@@ -1,14 +1,16 @@
 """Hot numeric kernels: neighbour search, per-particle angle profiling, classification.
 
-Each kernel has one numpy implementation and no per-particle Python loop.
-One vectorised cell list, pairs_within (Allen & Tildesley, Computer Simulation
-of Liquids, sec. 5.3), finds the pairs within a radius for every box, thin
-slabs and open frames (box None) included, each pair once: neighbour_csr
-mirrors them into CSR rows and snapshot.auto_cutoff bins their distances; the
-O(N^2) brute force is only the test reference.  The angle profile is batched
-by coordination number k: one minimum-image step for all bond vectors, then
-one stacked Gram matrix per k, and _count_clusters runs only on the bins that
-hold a gap above VALUE_RESOLUTION.  A particle's profile is the catalog's
+Each kernel has one numpy implementation and no per-particle or per-bin
+Python loop.  One vectorised cell list, pairs_within (Allen & Tildesley,
+Computer Simulation of Liquids, sec. 5.3), finds the pairs within a radius for
+every box, thin slabs and open frames (box None) included, each pair once:
+neighbour_csr mirrors them into CSR rows and snapshot.auto_cutoff bins their
+distances; the O(N^2) brute force is only the test reference.  The angle
+profile is batched by coordination number k: one minimum-image step for all
+bond vectors, then one stacked Gram matrix per k.  The bins that hold a gap
+above VALUE_RESOLUTION are described by their gaps and cluster sizes and
+merged all at once per frame, one call per gap count, each round removing one
+gap from every row still merging.  A particle's profile is the catalog's
 descriptor format, (k, per-class distinct-angle counts), so classification
 takes d_E from coefficients.distances, the function that builds the distance
 matrix.
@@ -151,39 +153,6 @@ def _perpendicular_widths(box):
     return w
 
 
-def _count_clusters(vals):
-    """Distinct-angle clusters among the sorted values of one bin.
-
-    Values chain-merge when consecutive gaps stay within VALUE_RESOLUTION.  A
-    cluster needs at least three members, or a separation of more than twice
-    VALUE_RESOLUTION from its neighbours, to count as its own distinct angle;
-    smaller nearby clusters are measurement tails and fold into the nearest
-    neighbour.  (Every same-bin splitting among the reference geometries has
-    multiplicity >= 4 or separation >= 4 degrees, so ideal neighbourhoods are
-    never over-merged.)
-    """
-    bounds = [t for t in range(1, len(vals))
-              if vals[t] - vals[t - 1] > VALUE_RESOLUTION]
-    far = 2.0 * VALUE_RESOLUTION
-    while bounds:
-        best = None
-        prev = 0
-        for c in range(len(bounds) + 1):
-            end = bounds[c] if c < len(bounds) else len(vals)
-            if end - prev <= 2:
-                gap_l = vals[prev] - vals[prev - 1] if c > 0 else np.inf
-                gap_r = vals[end] - vals[end - 1] if c < len(bounds) else np.inf
-                gap, b = (gap_l, c - 1) if gap_l < gap_r else (gap_r, c)
-                qualifies = (end - prev == 1) or gap <= far
-                if qualifies and (best is None or gap < best[0]):
-                    best = (gap, b)
-            prev = end
-        if best is None:
-            break
-        del bounds[best[1]]
-    return len(bounds) + 1
-
-
 def profile_particles(pos, box, starts, idx, edges):
     """Bond-angle profile of every particle: (k, per-class angle counts).
 
@@ -191,10 +160,11 @@ def profile_particles(pos, box, starts, idx, edges):
     minimum-image step, and for each k >= 2 the rows of that k are stacked
     into (R, k, 3) for one batched Gram matrix, arccos, row sort and binning,
     in row chunks of about _PAIR_BUDGET angles.  Every occupied bin counts one
-    distinct angle; only a bin whose sorted values hold a gap above
-    VALUE_RESOLUTION goes through _count_clusters.  m is the row sum of the
-    counts.  A zero-length bond (two coincident particles) raises ValueError
-    naming the lowest such particle.
+    distinct angle.  A bin whose sorted values hold a gap above
+    VALUE_RESOLUTION is a gapped run: _gapped_runs describes each by its gaps
+    and cluster sizes, and _merge_runs merges the frame's gapped runs at once.
+    m is the row sum of the counts.  A zero-length bond (two coincident
+    particles) raises ValueError naming the lowest such particle.
     """
     pos = np.ascontiguousarray(pos, dtype=np.float64)
     edges = np.ascontiguousarray(edges, dtype=np.float64)
@@ -216,6 +186,7 @@ def profile_particles(pos, box, starts, idx, edges):
         raise ValueError(f"particle {owners[b]} coincides with particle "
                          f"{idx[b]} (zero-length bond)")
     vec /= length[:, None]
+    runs = []  # (particle, bin, gap count, gaps, cluster sizes) per chunk
     for k in np.unique(kk[kk >= 2]).tolist():
         iu, ju = np.triu_indices(k, 1)
         rows = np.flatnonzero(kk == k)
@@ -227,17 +198,22 @@ def profile_particles(pos, box, starts, idx, edges):
             ang = np.sort(np.degrees(np.arccos(gram)), axis=1)
             cls = np.searchsorted(edges, ang, side="left")
             fcounts[r[:, None], cls] = 1
-            at, c, count = _gapped_bins(ang, cls)
-            fcounts[r[at], c] = count
+            row, c, ngaps, gaps, sizes = _gapped_runs(ang, cls)
+            runs.append((r[row], c, ngaps, gaps, sizes))
+    if runs:
+        particle, c, ngaps, gaps, sizes = (np.concatenate(a) for a in zip(*runs))
+        fcounts[particle, c] = _merge_runs(ngaps, gaps, sizes)
     return kk, fcounts
 
 
-def _gapped_bins(ang, cls):
-    """Distinct-angle counts of the bins holding a gap above VALUE_RESOLUTION.
+def _gapped_runs(ang, cls):
+    """The runs of ang holding a gap above VALUE_RESOLUTION, one per bin and row.
 
     ang holds sorted rows and cls their bins, so each bin of a row is one run
-    of equal cls.  Returns the row, the bin and _count_clusters of each run
-    with a gap between consecutive values; every other occupied bin counts 1.
+    of equal cls; its gaps above VALUE_RESOLUTION split it into clusters.
+    Returns, per gapped run, the row, the bin and the gap count G, then the
+    gaps and the cluster sizes of all runs concatenated in run order (G and
+    G + 1 values per run).
     """
     same = cls[:, 1:] == cls[:, :-1]
     row, t = np.nonzero(same & (np.diff(ang, axis=1) > VALUE_RESOLUTION))
@@ -245,12 +221,76 @@ def _gapped_bins(ang, cls):
     first = np.ones(ang.shape, dtype=bool)
     first[:, 1:] = ~same
     begin = np.append(np.flatnonzero(first), first.size)
-    # the run holding each gap, once per run
-    slow = np.unique(np.searchsorted(begin, row * width + t, side="right") - 1)
+    # the flat index of the value after each gap, and the run holding it
+    after = row * width + t + 1
+    run = np.searchsorted(begin, after, side="right") - 1
+    slow, ngaps = np.unique(run, return_counts=True)
+    # runs are disjoint and ascending, so the sorted cluster starts and ends
+    # pair up: each run gives G + 1 of each
+    lo = np.sort(np.concatenate([begin[slow], after]))
+    hi = np.sort(np.concatenate([after, begin[slow + 1]]))
     flat = ang.ravel()
-    count = [_count_clusters(flat[s:e].tolist())
-             for s, e in zip(begin[slow].tolist(), begin[slow + 1].tolist())]
-    return begin[slow] // width, cls.ravel()[begin[slow]], count
+    return (begin[slow] // width, cls.ravel()[begin[slow]], ngaps,
+            flat[after] - flat[after - 1], hi - lo)
+
+
+def _merge_runs(ngaps, gaps, sizes):
+    """Distinct-angle count of each gapped run, from _gapped_runs' layout.
+
+    The runs are grouped by gap count G and each group goes through
+    _merge_clusters at once.
+    """
+    count = ngaps + 1
+    gap_at = np.cumsum(ngaps) - ngaps
+    size_at = gap_at + np.arange(len(ngaps))
+    for g in np.unique(ngaps).tolist():
+        sel = np.flatnonzero(ngaps == g)
+        count[sel] = _merge_clusters(gaps[gap_at[sel, None] + np.arange(g)],
+                                     sizes[size_at[sel, None] + np.arange(g + 1)])
+    return count
+
+
+def _merge_clusters(gaps, sizes):
+    """Distinct-angle clusters of runs with G gaps each: gaps (R, G) between
+    consecutive clusters, cluster sizes (R, G + 1).
+
+    A cluster needs at least three members, or a separation of more than twice
+    VALUE_RESOLUTION from its neighbours, to count as its own distinct angle;
+    smaller nearby clusters are measurement tails and fold into the nearest
+    neighbour.  (Every same-bin splitting among the reference geometries has
+    multiplicity >= 4 or separation >= 4 degrees, so ideal neighbourhoods are
+    never over-merged.)  Each round removes one gap from every row still
+    merging: a cluster of size <= 2 is a candidate with its smaller gap (the
+    right one on a tie); it qualifies with size 1 or a gap <= 2 *
+    VALUE_RESOLUTION; the first smallest qualifying gap merges.  A row with
+    no qualifying candidate is done, and counts its gaps left + 1.
+    """
+    far = 2.0 * VALUE_RESOLUTION
+    g = gaps.shape[1]
+    count = np.full(len(gaps), g + 1)
+    live = np.arange(len(gaps))
+    # gaps padded with inf at both ends: cluster c lies between pad[:, c] and
+    # pad[:, c + 1], so the first and last cluster have one finite gap
+    pad = np.full((len(gaps), g + 2), np.inf)
+    pad[:, 1:-1] = gaps
+    while g and len(live):
+        left, right = pad[:, :-1], pad[:, 1:]
+        take_left = left < right
+        gap = np.where(take_left, left, right)
+        gap[(sizes > 2) | ((sizes == 2) & (gap > far))] = np.inf
+        c = np.argmin(gap, axis=1)
+        rows = np.arange(len(live))
+        go = np.isfinite(gap[rows, c])
+        b = (c - take_left[rows, c])[go]
+        live, pad, sizes = live[go], pad[go], sizes[go]
+        rows = np.arange(len(live))
+        # clusters b and b + 1 become one, and gap b goes
+        sizes[rows, b] += sizes[rows, b + 1]
+        sizes = sizes[np.arange(g + 1) != b[:, None] + 1].reshape(len(live), g)
+        pad = pad[np.arange(g + 2) != b[:, None] + 1].reshape(len(live), g + 1)
+        g -= 1
+        count[live] = g + 1
+    return count
 
 
 def classify_particles(kk, fcounts, cat_k, cat_f):

@@ -191,8 +191,8 @@ class NeighbourList:
 def neighbours_cutoff(frame: Frame, r_cut: float) -> NeighbourList:
     """All neighbours within r_cut (minimum image when the frame is periodic),
     each row sorted, from the cell-list kernel."""
-    if not r_cut > 0:
-        raise ValueError("r_cut must be positive")
+    if not 0 < r_cut < np.inf:
+        raise ValueError("r_cut must be positive and finite")
     if frame.box is not None:
         widths = kernels._perpendicular_widths(frame.box)
         if r_cut > 0.5 * widths.min():

@@ -52,7 +52,7 @@ def test_derive_singleton_pool():
 
 def test_derive_rejects_bad_epsilon():
     pool = AnglePool(values=np.array([90.0]), sources=("A",))
-    for eps in (0.0, -1.0, float("nan")):
+    for eps in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="epsilon must be positive"):
             derive_discretizer(pool, epsilon=eps)
 

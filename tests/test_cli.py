@@ -274,12 +274,36 @@ def test_analyze_zero_rcut_fails(tmp_path, capsys):
         assert _run(["analyze", str(xyz), "--rcut", rcut, "--out", str(out)]) == 1
         assert "error: r_cut must be positive" in capsys.readouterr().err
         assert not out.exists()
+    # without a box only the value itself stops inf, which would make every
+    # particle a neighbour of every other and write "r_cut": Infinity
+    xyz = tmp_path / "open.xyz"
+    write_frames(xyz, [make_lattice("fcc", 1)], fmt="xyz")
+    summary = tmp_path / "run.json"
+    assert _run(["analyze", str(xyz), "--rcut", "inf", "--out", str(out),
+                 "--summary", str(summary)]) == 1
+    assert "error: r_cut must be positive and finite" in capsys.readouterr().err
+    assert not out.exists() and not summary.exists()
 
 
 def test_nan_epsilon_fails(tmp_path, capsys):
     out = tmp_path / "disc.json"
     assert _run(["inherent-angles", "--epsilon", "nan", "--out", str(out)]) == 1
     assert "error: epsilon must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_inf_epsilon_fails(tmp_path, capsys):
+    """An infinite epsilon would merge the pool into one 2-class discretizer
+    and give every particle a label with it."""
+    out = tmp_path / "disc.json"
+    assert _run(["inherent-angles", "--epsilon", "inf", "--out", str(out)]) == 1
+    assert "error: epsilon must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+    xyz = tmp_path / "fcc.extxyz"
+    write_frames(xyz, [make_lattice("fcc", 3)])
+    assert _run(["analyze", str(xyz), "--rcut", "0.85", "--epsilon", "inf",
+                 "--out", str(out)]) == 1
+    assert "error: epsilon must be positive and finite" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,5 +1,6 @@
 """Kernels: the cell list against the brute-force reference, the batched angle
-profile and classification against per-particle reference loops, and the
+profile and classification against per-particle reference loops, the
+vectorised distinct-angle merge against the one-bin reference loop, and the
 invariance of profiles and labels under rigid motions and relabelling."""
 
 import re
@@ -79,6 +80,37 @@ def test_profile_counts_sum_to_m(setup):
     assert list(kk[-3:]) == [0, 1, 1]
 
 
+def _count_clusters(vals):
+    """Reference distinct-angle merge: the clusters among the sorted values of
+    one bin, merged one gap at a time.
+
+    Values chain-merge when consecutive gaps stay within VALUE_RESOLUTION.  A
+    cluster needs at least three members, or a separation of more than twice
+    VALUE_RESOLUTION from its neighbours, to count as its own distinct angle;
+    smaller nearby clusters fold into the nearest neighbour.
+    """
+    res = kernels.VALUE_RESOLUTION
+    bounds = [t for t in range(1, len(vals)) if vals[t] - vals[t - 1] > res]
+    far = 2.0 * res
+    while bounds:
+        best = None
+        prev = 0
+        for c in range(len(bounds) + 1):
+            end = bounds[c] if c < len(bounds) else len(vals)
+            if end - prev <= 2:
+                gap_l = vals[prev] - vals[prev - 1] if c > 0 else np.inf
+                gap_r = vals[end] - vals[end - 1] if c < len(bounds) else np.inf
+                gap, b = (gap_l, c - 1) if gap_l < gap_r else (gap_r, c)
+                qualifies = (end - prev == 1) or gap <= far
+                if qualifies and (best is None or gap < best[0]):
+                    best = (gap, b)
+            prev = end
+        if best is None:
+            break
+        del bounds[best[1]]
+    return len(bounds) + 1
+
+
 def _profile_loop(pos, box, starts, idx, edges):
     """Reference profile_particles: one particle at a time."""
     pos = np.ascontiguousarray(pos, dtype=np.float64)
@@ -109,7 +141,7 @@ def _profile_loop(pos, box, starts, idx, edges):
         ang = np.sort(np.degrees(np.arccos(gram[iu])))
         cls = np.searchsorted(edges, ang, side="left")
         for c in np.unique(cls):
-            fcounts[i, c] = kernels._count_clusters(ang[cls == c])
+            fcounts[i, c] = _count_clusters(ang[cls == c])
     return kk, fcounts
 
 
@@ -192,6 +224,135 @@ def test_profile_coincident_message(setup):
         kernels.profile_particles(pos[-2:], None, starts, idx, edges)
 
 
+_RES = kernels.VALUE_RESOLUTION
+
+
+def _next_value(prev, step):
+    """A float v with v - prev == step exactly where one lies within a few
+    ulps of prev + step, else prev + step: steps of exactly VALUE_RESOLUTION
+    or twice it, and equal left and right gaps, reach the merge as such where
+    the magnitude of the values allows."""
+    v = prev + step
+    for _ in range(4):
+        if v - prev == step:
+            return v
+        v = np.nextafter(v, np.inf if v - prev < step else -np.inf)
+    return prev + step
+
+
+def _sorted_values(base, clusters):
+    """Sorted values from (gap before, member steps) per cluster; the first
+    cluster's gap is ignored."""
+    vals = [base]
+    for c, (gap, steps) in enumerate(clusters):
+        if c:
+            vals.append(_next_value(vals[-1], gap))
+        for step in steps:
+            vals.append(_next_value(vals[-1], step))
+    return vals
+
+
+def _merged_counts(lists):
+    """Distinct-angle count of each sorted list through _gapped_runs and one
+    _merge_runs call for all of them; a list without a gap counts 1."""
+    runs = []
+    for i, vals in enumerate(lists):
+        ang = np.asarray(vals, dtype=np.float64)[None, :]
+        row, c, ngaps, gaps, sizes = kernels._gapped_runs(
+            ang, np.zeros(ang.shape, dtype=np.int64))
+        assert not c.any() and len(row) <= 1
+        runs.append((row + i, ngaps, gaps, sizes))
+    row, ngaps, gaps, sizes = (np.concatenate(a) for a in zip(*runs))
+    counts = np.ones(len(lists), dtype=np.int64)
+    counts[row] = kernels._merge_runs(ngaps, gaps, sizes)
+    return counts
+
+
+# gaps between clusters: both thresholds exactly, values just past them, and
+# repeats, so that equal left and right gaps are common
+_GAP = st.one_of(st.sampled_from((_RES, 2 * _RES, 1.5, 2.0, 2.4000000001, 3.0)),
+                 st.floats(_RES, 4 * _RES, exclude_min=True))
+# steps inside a cluster: equal values, exactly VALUE_RESOLUTION (not a gap)
+_STEP = st.one_of(st.sampled_from((0.0, 0.3, _RES)), st.floats(0.0, _RES))
+_CLUSTER = st.tuples(_GAP, st.lists(_STEP, max_size=3))
+# near 0 the threshold steps come out exact
+_BASE = st.one_of(st.just(0.0), st.floats(-3.0, 120.0))
+_VALUES = st.builds(_sorted_values, _BASE,
+                    st.lists(_CLUSTER, min_size=1, max_size=13))
+
+
+@settings(max_examples=300, deadline=None)
+@given(lists=st.lists(_VALUES, min_size=1, max_size=8))
+def test_merge_equals_reference_random(lists):
+    """Clusters of 1 to 4 members, up to 12 gaps, single clusters, threshold
+    gaps and ties, merged in one call with mixed gap counts."""
+    ref = [_count_clusters(vals) for vals in lists]
+    assert _merged_counts(lists).tolist() == ref
+
+
+# one list per gap count G = 1..10, as (gap before, member steps) per cluster
+_FIXED = [
+    # a singleton beside a triple merges into it
+    [(0, [0.5, 0.5]), (2.0, [])],
+    # a singleton between equal gaps takes the right one
+    [(0, [0.2, 0.2]), (1.5, []), (1.5, [0.1, 0.1])],
+    # a pair more than 2 * RES from both neighbours stays distinct
+    [(0, [0.1, 0.1]), (3.0, [0.4]), (3.5, [0.3, 0.3]), (5.0, [0.1, 0.1])],
+    # so do pairs separated by more than 2 * RES from each other
+    [(0, [0.2]), (2.5, [0.2]), (3.0, [0.2]), (2.5, [0.2]), (4.0, [0.2])],
+    # a chain of singletons collapses into one cluster
+    [(0, []), (1.3, []), (1.4, []), (1.25, []), (1.6, []), (1.5, [])],
+    # triples never merge, whatever their gaps
+    [(0, [0.1, 0.1])] + [(1.3, [0.1, 0.1])] * 6,
+    # singletons among triples fold in, even 6 degrees away
+    [(0, [0.1, 0.1]), (1.3, []), (1.5, [0.1, 0.1]), (2.0, []), (1.7, [0.1, 0.1]),
+     (3.0, []), (2.9, [0.1, 0.1]), (6.0, [])],
+    # a first and a last singleton, each with one finite gap, among pairs
+    [(0, []), (2.6, [0.2, 0.2]), (1.3, [0.3]), (1.3, [0.3]), (2.7, [0.2, 0.2]),
+     (1.9, [1.0]), (1.9, [1.0]), (4.0, [0.2, 0.2]), (3.3, [])],
+    # pairs 1.8 apart merge until the clusters are large enough
+    [(0, [1.0])] + [(1.8, [1.0])] * 9,
+    # alternating singletons and pairs with rising gaps all fold into one
+    [(0, [])] + [(1.3 + 0.1 * c, [0.2] * (c % 2)) for c in range(10)],
+]
+_FIXED_COUNTS = [1, 2, 4, 5, 1, 7, 4, 5, 5, 1]
+
+
+def test_merge_fixed_cases_by_gap_count():
+    """One list for each gap count from 1 to 10, against the reference and
+    against its count."""
+    lists = [_sorted_values(10.0, clusters) for clusters in _FIXED]
+    ngaps = [sum(b - a > _RES for a, b in zip(v, v[1:])) for v in lists]
+    assert ngaps == list(range(1, 11))
+    ref = [_count_clusters(vals) for vals in lists]
+    assert ref == _FIXED_COUNTS
+    assert _merged_counts(lists).tolist() == ref
+    # and one list at a time
+    assert [_merged_counts([v])[0] for v in lists] == ref
+
+
+def test_merge_thresholds_exact():
+    """Values around 0, where the steps are exact: a step of exactly
+    VALUE_RESOLUTION is no gap, a pair exactly 2 * VALUE_RESOLUTION away
+    merges, and a singleton between equal gaps joins its right neighbour."""
+    up, down = np.nextafter(_RES, np.inf), np.nextafter(-2 * _RES, -np.inf)
+    cases = [
+        ([-0.2, -0.1, 0.0, _RES, 1.3, 1.4], 1),
+        ([-0.2, -0.1, 0.0, up, 1.3, 1.4], 2),
+        ([-2 * _RES - 0.1, -2 * _RES, 0.0, 0.1, 0.2], 1),
+        ([down - 0.1, down, 0.0, 0.1, 0.2], 2),
+        # the singleton at 0 makes the right pair a triple, which stays
+        ([-1.7, -1.6, -1.5, 0.0, 1.5, 1.6, 3.6, 3.7, 3.8], 3),
+    ]
+    assert cases[0][0][3] - cases[0][0][2] == _RES
+    assert cases[2][0][2] - cases[2][0][1] == 2 * _RES
+    assert 0.0 - (-1.5) == 1.5 - 0.0
+    lists = [vals for vals, _ in cases]
+    expected = [count for _, count in cases]
+    assert [_count_clusters(vals) for vals in lists] == expected
+    assert _merged_counts(lists).tolist() == expected
+
+
 def _classify_loop(kk, fcounts, cat_k, cat_f):
     """Reference classify_particles: one particle at a time."""
     cat_k = np.asarray(cat_k, dtype=np.float64)
@@ -260,7 +421,7 @@ def test_classify_equals_particle_loop(setup):
 def _margin(pos, box, rcut, edges):
     """How far the frame sits from every decision the profile makes: pair
     distances from rcut, angles from the bin edges, and same-bin gaps from
-    VALUE_RESOLUTION and twice it (the merge thresholds of _count_clusters)."""
+    VALUE_RESOLUTION and twice it (the merge thresholds)."""
     inv = None if box is None else np.linalg.inv(box)
     n = len(pos)
     r = np.sqrt(kernels._pair_r2(pos, np.arange(n)[:, None],

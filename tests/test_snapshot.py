@@ -120,9 +120,11 @@ def test_neighbours_single_particle():
 
 def test_neighbours_rcut_validation():
     fr = make_lattice("sc", 3)
-    for bad in (-1.0, float("nan")):
-        with pytest.raises(ValueError, match="positive"):
-            neighbours_cutoff(fr, bad)
+    # an open frame has no half-width check: only the value itself stops inf
+    for frame in (fr, Frame(positions=fr.positions, box=None)):
+        for bad in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="positive and finite"):
+                neighbours_cutoff(frame, bad)
     with pytest.raises(ValueError, match="half"):
         neighbours_cutoff(fr, 2.0)  # box is 3x3x3
 
