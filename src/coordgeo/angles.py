@@ -1,11 +1,16 @@
 """Bond angles, inherent-angle derivation and fixed discretization.
 
-The discretizer is built from the bond angles of the capping-reduced catalog:
-1-D DBSCAN with minPts=1 groups the pooled values into clusters (maximal runs
-whose consecutive gaps are at most epsilon); each cluster contributes one
+The discretizer is built from the bond angles of the capping-reduced catalog
+by 1-D DBSCAN over the distinct pooled values (rounded to 1e-9 degrees, each
+weighted by its multiplicity).  A value is core when its epsilon-neighbourhood,
+itself included, holds at least minPts distinct values; a value is kept when a
+core lies within epsilon of it, and is noise otherwise.  The kept values split
+into clusters wherever two consecutive ones lie more than epsilon apart, so
+with minPts=1 (the paper's choice) nothing is noise and the clusters are the
+maximal runs whose gaps are at most epsilon.  Each cluster contributes one
 inherent angle, 0 is prepended by convention, and bin edges are placed in the
 gaps between consecutive clusters.  Placing edges in the gaps (rather than
-midway between cluster representatives) guarantees that every pooled value is
+midway between cluster representatives) guarantees that every kept value is
 binned with its own cluster even when clusters are lopsided.
 
 A geometry's angle profile is its vector f of per-class distinct-angle
@@ -146,54 +151,16 @@ class Discretizer:
         )
 
 
-def _cluster_1d(values, weights, eps, min_pts):
-    """1-D DBSCAN.  Returns a list of (member values, member weights).
-
-    With minPts=1 every point is core, so clusters are the maximal runs of
-    sorted points whose consecutive gaps do not exceed eps.  For minPts>1 a
-    point is core when its eps-neighbourhood (itself included) holds at least
-    minPts points; non-core points not reachable from a core are noise.
-    """
-    order = np.argsort(values)
-    v = values[order]
-    w = weights[order]
-    n = len(v)
-    if min_pts > 1:
-        lo = np.searchsorted(v, v - eps, side="left")
-        hi = np.searchsorted(v, v + eps, side="right")
-        core = (hi - lo) >= min_pts
-        reach = core.copy()
-        for i in range(n):  # border points adjacent to a core point
-            if not core[i]:
-                j0 = np.searchsorted(v, v[i] - eps, side="left")
-                j1 = np.searchsorted(v, v[i] + eps, side="right")
-                reach[i] = core[j0:j1].any()
-    else:
-        reach = np.ones(n, dtype=bool)
-    clusters = []
-    cur_v, cur_w = [], []
-    prev = None
-    for i in range(n):
-        if not reach[i]:
-            continue
-        if prev is not None and v[i] - prev > eps and cur_v:
-            clusters.append((np.array(cur_v), np.array(cur_w)))
-            cur_v, cur_w = [], []
-        cur_v.append(v[i])
-        cur_w.append(w[i])
-        prev = v[i]
-    if cur_v:
-        clusters.append((np.array(cur_v), np.array(cur_w)))
-    return clusters
-
-
-def derive_discretizer(pool: AnglePool, min_pts: int = 1, epsilon: float = 2.85,
-                       representative: str = "mean") -> Discretizer:
+def derive_discretizer(pool: AnglePool, min_pts: int = 1,
+                       epsilon: float = 2.85) -> Discretizer:
     """Derive inherent angles and bin edges from a pooled angle list.
 
-    representative="mean" uses the multiplicity-weighted cluster mean;
-    "mode" uses the highest-multiplicity member (ties resolved toward the
-    weighted mean).  A cluster containing 180 is represented by 180 itself.
+    One 1-D DBSCAN pass over the distinct pool values (see the module
+    docstring).  Each cluster's inherent angle is its multiplicity-weighted
+    mean; when the pool holds 180, the last class is represented by 180
+    itself (even if minPts leaves 180 as noise).  Raises ValueError for an
+    epsilon that is not positive and finite, a minPts below 1, an empty pool,
+    or a pool left all noise.
     """
     if not 0 < epsilon < np.inf:
         raise ValueError("epsilon must be positive and finite")
@@ -202,36 +169,25 @@ def derive_discretizer(pool: AnglePool, min_pts: int = 1, epsilon: float = 2.85,
     if len(pool.values) == 0:
         raise ValueError("empty angle pool")
 
-    uniq = {}
-    for v in pool.values:
-        key = round(float(v), 9)
-        uniq[key] = uniq.get(key, 0) + 1
-    vals = np.array(sorted(uniq))
-    wts = np.array([uniq[k] for k in sorted(uniq)], dtype=float)
-
-    clusters = _cluster_1d(vals, wts, epsilon, min_pts)
-    if not clusters:
+    # Python's round, not np.round: the two differ at 1e-9 halfway values
+    vals, counts = np.unique([round(float(v), 9) for v in pool.values],
+                             return_counts=True)
+    lo = np.searchsorted(vals, vals - epsilon, side="left")
+    hi = np.searchsorted(vals, vals + epsilon, side="right")
+    cores = np.concatenate([[0], np.cumsum(hi - lo >= min_pts)])
+    kept = cores[hi] > cores[lo]  # a core within epsilon, itself included
+    if not kept.any():
         raise ValueError("all pool points classified as noise")
+    kv, kw = vals[kept], counts[kept]
+    cut = np.flatnonzero(np.diff(kv) > epsilon) + 1
 
-    reps = []
-    for cv, cw in clusters:
-        mean = float(np.average(cv, weights=cw))
-        if representative == "mean":
-            reps.append(mean)
-        elif representative == "mode":
-            best = np.flatnonzero(cw == cw.max())
-            pick = best[np.argmin(np.abs(cv[best] - mean))]
-            reps.append(float(cv[pick]))
-        else:
-            raise ValueError(f"unknown representative {representative!r}")
+    reps = [float(np.average(cv, weights=cw))
+            for cv, cw in zip(np.split(kv, cut), np.split(kw, cut))]
     if np.any(np.abs(vals - 180.0) < 1e-9):
         reps[-1] = 180.0
-
     inherent = np.concatenate([[0.0], reps])
-    edges = [0.5 * clusters[0][0][0]]
-    for (av, _), (bv, _) in zip(clusters[:-1], clusters[1:]):
-        edges.append(0.5 * (av[-1] + bv[0]))
-    return Discretizer(inherent_angles=inherent, bin_edges=np.array(edges),
+    edges = 0.5 * np.concatenate([kv[:1], kv[cut - 1] + kv[cut]])
+    return Discretizer(inherent_angles=inherent, bin_edges=edges,
                        epsilon=float(epsilon), min_pts=int(min_pts))
 
 

@@ -70,12 +70,30 @@ def _resolve_config(args) -> RunConfig:
     return RunConfig(**merged)
 
 
-def _pipeline(args):
+def _derive(args):
     """The run configuration, the catalog and its discretizer."""
     cfg = _resolve_config(args)
     catalog = build_catalog()
     disc = derive_discretizer(collect_pool(catalog), min_pts=cfg.min_pts,
                               epsilon=cfg.epsilon)
+    return cfg, catalog, disc
+
+
+def _pipeline(args):
+    """_derive, refusing a discretizer that violates the topology axioms.
+
+    The axioms are the paper's rule for epsilon and minPts: a discretizer
+    that breaks them merges angle classes the axioms tell apart (a wide
+    epsilon leaves one class beside the 0 convention), yet would still label
+    every particle.
+    """
+    cfg, catalog, disc = _derive(args)
+    passed, report = axioms_satisfied(disc, catalog)
+    if not passed:
+        failed = ", ".join(name for name, _, ok in report.comparisons if not ok)
+        raise ValueError(f"epsilon={cfg.epsilon} with min_pts={cfg.min_pts} "
+                         f"violates topology axiom(s) {failed}; "
+                         f"'coordgeo axioms' shows the comparisons")
     return cfg, catalog, disc
 
 
@@ -252,7 +270,7 @@ def cmd_catalog(args):
 
 
 def cmd_axioms(args):
-    cfg, catalog, disc = _pipeline(args)
+    cfg, catalog, disc = _derive(args)
     passed, report = axioms_satisfied(disc, catalog)
     _write(args.out, str(report) + "\n")
     return 0 if passed else 1

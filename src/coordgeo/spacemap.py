@@ -160,46 +160,37 @@ class Dendrogram:
 def hierarchical_cluster(dm: DistanceMatrix) -> Dendrogram:
     """Average-linkage (UPGMA) clustering of the distance matrix.
 
-    Ties between candidate pairs are broken deterministically by the
-    lexicographically smallest leaf codes of the two clusters.
+    Cluster distances live in one (2n-1, 2n-1) array: merging i and j writes
+    the Lance-Williams average (n_i d_i + n_j d_j) / (n_i + n_j) into the new
+    cluster's row and column.  Ties between candidate pairs are broken by the
+    lexicographically smallest leaf codes of the two clusters, then by their
+    ids.  Reads the upper triangle of dm.d; ValueError if it is not finite.
     """
     n = len(dm.codes)
-    members = {i: [i] for i in range(n)}
-    smallest = {i: dm.codes[i] for i in range(n)}
-    dist = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            dist[(i, j)] = float(dm.d[i, j])
-    active = set(range(n))
+    iu = np.triu_indices(n, 1)
+    d_up = np.asarray(dm.d, dtype=float)[iu]
+    if not np.isfinite(d_up).all():
+        raise ValueError("non-finite distance in the matrix to cluster")
+    dist = np.full((2 * n - 1, 2 * n - 1), np.inf)
+    dist[iu] = dist[iu[::-1]] = d_up
+    size = np.ones(2 * n - 1, dtype=np.int64)
+    rank = {c: r for r, c in enumerate(sorted(set(dm.codes)))}
+    smallest = np.array([rank[c] for c in dm.codes] + [0] * (n - 1))
     merges = []
-    next_id = n
-    while len(active) > 1:
-        best = None
-        for i in sorted(active):
-            for j in sorted(active):
-                if i >= j:
-                    continue
-                key = dist[(i, j)] if (i, j) in dist else dist[(j, i)]
-                tie = tuple(sorted((smallest[i], smallest[j])))
-                cand = (key, tie, i, j)
-                if best is None or cand < best:
-                    best = cand
-        h, _, i, j = best
+    for new in range(n, 2 * n - 1):
+        h = dist.min()
+        ii, jj = np.nonzero(np.triu(dist == h, 1))
+        lo = np.minimum(smallest[ii], smallest[jj])
+        hi = np.maximum(smallest[ii], smallest[jj])
+        pick = np.lexsort((jj, ii, hi, lo))[0]
+        i, j = int(ii[pick]), int(jj[pick])
         left, right = (i, j) if smallest[i] <= smallest[j] else (j, i)
-        new = next_id
-        next_id += 1
-        for o in active:
-            if o in (i, j):
-                continue
-            dio = dist[(min(i, o), max(i, o))]
-            djo = dist[(min(j, o), max(j, o))]
-            ni, nj = len(members[i]), len(members[j])
-            dist[(min(new, o), max(new, o))] = (ni * dio + nj * djo) / (ni + nj)
-        members[new] = members[i] + members[j]
+        dist[new] = dist[:, new] = ((size[i] * dist[i] + size[j] * dist[j])
+                                    / (size[i] + size[j]))
+        dist[[i, j]] = dist[:, [i, j]] = np.inf
+        size[new] = size[i] + size[j]
         smallest[new] = min(smallest[i], smallest[j])
-        merges.append((left, right, h, new))
-        active -= {i, j}
-        active.add(new)
+        merges.append((left, right, float(h), new))
     return Dendrogram(leaves=tuple(dm.codes), merges=tuple(merges))
 
 

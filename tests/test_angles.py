@@ -66,13 +66,107 @@ def test_derive_min_pts_noise():
     assert d2.n_classes == 2
 
 
-def test_representative_mode_switch():
-    pool = AnglePool(values=np.array([58.0, 60.0, 60.0, 61.0]),
-                     sources=("A", "B", "C", "D"))
-    mean_d = derive_discretizer(pool, epsilon=3.0, representative="mean")
-    mode_d = derive_discretizer(pool, epsilon=3.0, representative="mode")
-    assert abs(mean_d.inherent_angles[1] - 59.75) < 1e-9
-    assert abs(mode_d.inherent_angles[1] - 60.0) < 1e-9
+def _cluster_1d(values, weights, eps, min_pts):
+    """1-D DBSCAN one point at a time.  Returns a list of (member values,
+    member weights)."""
+    order = np.argsort(values)
+    v = values[order]
+    w = weights[order]
+    n = len(v)
+    if min_pts > 1:
+        lo = np.searchsorted(v, v - eps, side="left")
+        hi = np.searchsorted(v, v + eps, side="right")
+        core = (hi - lo) >= min_pts
+        reach = core.copy()
+        for i in range(n):  # border points adjacent to a core point
+            if not core[i]:
+                j0 = np.searchsorted(v, v[i] - eps, side="left")
+                j1 = np.searchsorted(v, v[i] + eps, side="right")
+                reach[i] = core[j0:j1].any()
+    else:
+        reach = np.ones(n, dtype=bool)
+    clusters = []
+    cur_v, cur_w = [], []
+    prev = None
+    for i in range(n):
+        if not reach[i]:
+            continue
+        if prev is not None and v[i] - prev > eps and cur_v:
+            clusters.append((np.array(cur_v), np.array(cur_w)))
+            cur_v, cur_w = [], []
+        cur_v.append(v[i])
+        cur_w.append(w[i])
+        prev = v[i]
+    if cur_v:
+        clusters.append((np.array(cur_v), np.array(cur_w)))
+    return clusters
+
+
+def _derive_loop(pool, min_pts=1, epsilon=2.85):
+    """Reference derive_discretizer: a dict of pool values and the loop
+    DBSCAN above, which the vectorised pass must reproduce bit for bit."""
+    if not 0 < epsilon < np.inf:
+        raise ValueError("epsilon must be positive and finite")
+    if min_pts < 1:
+        raise ValueError("min_pts must be at least 1")
+    if len(pool.values) == 0:
+        raise ValueError("empty angle pool")
+    uniq = {}
+    for v in pool.values:
+        key = round(float(v), 9)
+        uniq[key] = uniq.get(key, 0) + 1
+    vals = np.array(sorted(uniq))
+    wts = np.array([uniq[k] for k in sorted(uniq)], dtype=float)
+    clusters = _cluster_1d(vals, wts, epsilon, min_pts)
+    if not clusters:
+        raise ValueError("all pool points classified as noise")
+    reps = [float(np.average(cv, weights=cw)) for cv, cw in clusters]
+    if np.any(np.abs(vals - 180.0) < 1e-9):
+        reps[-1] = 180.0
+    inherent = np.concatenate([[0.0], reps])
+    edges = [0.5 * clusters[0][0][0]]
+    for (av, _), (bv, _) in zip(clusters[:-1], clusters[1:]):
+        edges.append(0.5 * (av[-1] + bv[0]))
+    return cg.Discretizer(inherent_angles=inherent, bin_edges=np.array(edges),
+                          epsilon=float(epsilon), min_pts=int(min_pts))
+
+
+def _outcome(derive, pool, min_pts, epsilon):
+    """The discretizer's exact bits, or the text of the error it raised."""
+    try:
+        d = derive(pool, min_pts=min_pts, epsilon=epsilon)
+    except ValueError as exc:
+        return str(exc)
+    return (d.inherent_angles.tobytes(), d.bin_edges.tobytes(), d.epsilon,
+            d.min_pts)
+
+
+@pytest.mark.parametrize("min_pts", [1, 2, 3, 4, 6])
+def test_derive_matches_reference_on_the_catalog(catalog, min_pts):
+    pool = cg.collect_pool(catalog)
+    for eps in [round(0.05 * i, 2) for i in range(1, 120)] + [10.0, 50.0, 1000.0]:
+        assert (_outcome(derive_discretizer, pool, min_pts, eps)
+                == _outcome(_derive_loop, pool, min_pts, eps)), eps
+
+
+_POOL_VALUE = st.one_of(
+    st.floats(min_value=1e-3, max_value=180.0),
+    # halfway between 1e-9 steps, where np.round(v, 9) and round(v, 9) differ
+    st.integers(1, 179 * 10**9).map(lambda i: i / 1e9 + 5e-10),
+    st.sampled_from([60.0, 60.0 + 1e-10, 60.5, 61.0, 90.0, TET_ANGLE, 120.0,
+                     179.0, 180.0]))
+# the exact gaps between the sampled values put neighbours on the boundary
+_EPSILON = st.one_of(st.floats(min_value=1e-3, max_value=200.0),
+                     st.sampled_from([0.5, 1.0, 30.0]))
+
+
+@given(st.lists(_POOL_VALUE, min_size=1, max_size=30), _EPSILON,
+       st.integers(1, 6))
+@settings(max_examples=300, deadline=None)
+def test_derive_matches_reference(values, epsilon, min_pts):
+    pool = AnglePool(values=np.array(values), sources=("A",) * len(values))
+    assert (_outcome(derive_discretizer, pool, min_pts, epsilon)
+            == _outcome(_derive_loop, pool, min_pts, epsilon))
 
 
 def test_discretize_180_tail(discretizer):

@@ -307,6 +307,39 @@ def test_inf_epsilon_fails(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, failed", [
+    (["inherent-angles", "--epsilon", "1000"], "1a, 1b, 2a, 2b"),
+    (["table", "--epsilon", "3"], "2a"),
+    (["distances", "--min-pts", "2"], "1a, 1b, 2a, 2b"),
+])
+def test_discretizer_violating_the_axioms_fails(tmp_path, capsys, argv, failed):
+    """A wide epsilon (or a minPts that leaves angles as noise) merges what
+    the topology axioms tell apart; 1000 gives a 2-class discretizer."""
+    out = tmp_path / "out.txt"
+    assert _run(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: epsilon=")
+    assert f"violates topology axiom(s) {failed};" in err
+    assert not out.exists()
+
+
+def test_analyze_with_epsilon_violating_the_axioms_fails(tmp_path, capsys):
+    xyz = tmp_path / "fcc.extxyz"
+    write_frames(xyz, [make_lattice("fcc", 3)])
+    out = tmp_path / "pp.csv"
+    assert _run(["analyze", str(xyz), "--rcut", "0.85", "--epsilon", "3",
+                 "--out", str(out)]) == 1
+    assert "axiom(s) 2a;" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_axioms_reports_a_violating_epsilon(capsys):
+    assert _run(["axioms", "--epsilon", "3"]) == 1
+    printed = capsys.readouterr().out
+    assert printed.startswith("axioms violated")
+    assert "[FAIL] 2a:" in printed
+
+
 def test_axioms_out_file(tmp_path, capsys):
     out = tmp_path / "axioms.txt"
     assert _run(["axioms", "--out", str(out)]) == 0

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import coordgeo as cg
 from coordgeo.coefficients import d_e, descriptor
@@ -48,6 +49,82 @@ def test_metric_detects_zero_off_diagonal():
     d = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
     rep = verify_metric(DistanceMatrix(codes=codes, d=d))
     assert not rep.identity_ok
+
+
+def _upgma_dict(dm):
+    """Reference UPGMA: a dict of pair distances and a scan of every active
+    pair per merge, which the array version must reproduce exactly."""
+    n = len(dm.codes)
+    members = {i: [i] for i in range(n)}
+    smallest = {i: dm.codes[i] for i in range(n)}
+    dist = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            dist[(i, j)] = float(dm.d[i, j])
+    active = set(range(n))
+    merges = []
+    next_id = n
+    while len(active) > 1:
+        best = None
+        for i in sorted(active):
+            for j in sorted(active):
+                if i >= j:
+                    continue
+                key = dist[(i, j)] if (i, j) in dist else dist[(j, i)]
+                tie = tuple(sorted((smallest[i], smallest[j])))
+                cand = (key, tie, i, j)
+                if best is None or cand < best:
+                    best = cand
+        h, _, i, j = best
+        left, right = (i, j) if smallest[i] <= smallest[j] else (j, i)
+        new = next_id
+        next_id += 1
+        for o in active:
+            if o in (i, j):
+                continue
+            dio = dist[(min(i, o), max(i, o))]
+            djo = dist[(min(j, o), max(j, o))]
+            ni, nj = len(members[i]), len(members[j])
+            dist[(min(new, o), max(new, o))] = (ni * dio + nj * djo) / (ni + nj)
+        members[new] = members[i] + members[j]
+        smallest[new] = min(smallest[i], smallest[j])
+        merges.append((left, right, h, new))
+        active -= {i, j}
+        active.add(new)
+    return tuple(merges)
+
+
+@pytest.mark.parametrize("epsilon", [0.5, 1.0, 2.0, 2.85, 2.86])
+def test_upgma_matches_reference_on_the_catalog(catalog, epsilon):
+    dm = cg.distance_matrix(
+        catalog, cg.derive_discretizer(cg.collect_pool(catalog), epsilon=epsilon))
+    assert hierarchical_cluster(dm).merges == _upgma_dict(dm)
+
+
+@st.composite
+def _tied_matrices(draw):
+    # few distinct integer distances, so most merges choose among ties
+    n = draw(st.integers(2, 9))
+    d = np.array(draw(st.lists(st.lists(st.integers(0, 3), min_size=n,
+                                        max_size=n), min_size=n, max_size=n)),
+                 dtype=float)
+    # codes may repeat, so that the cluster ids must break some ties
+    n_codes = draw(st.integers(1, n))
+    codes = draw(st.permutations([f"c{i % n_codes}" for i in range(n)]))
+    return DistanceMatrix(codes=tuple(codes), d=d)
+
+
+@given(_tied_matrices())
+@settings(max_examples=300, deadline=None)
+def test_upgma_matches_reference_on_ties(dm):
+    assert hierarchical_cluster(dm).merges == _upgma_dict(dm)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_upgma_rejects_non_finite_distance(bad):
+    d = np.array([[0.0, bad, 2.0], [bad, 0.0, 1.0], [2.0, 1.0, 0.0]])
+    with pytest.raises(ValueError, match="non-finite distance"):
+        hierarchical_cluster(DistanceMatrix(codes=("a", "b", "c"), d=d))
 
 
 def test_upgma_two_leaves():
