@@ -85,6 +85,8 @@ class AnglePool:
         object.__setattr__(self, "values", v)
         if len(v) != len(self.sources):
             raise ValueError("values and sources length mismatch")
+        if not np.isfinite(v).all():
+            raise ValueError(f"pool angles must be finite, got {v[~np.isfinite(v)][0]}")
         if len(v) and (v.min() <= 0 or v.max() > 180 + 1e-9):
             raise ValueError("pool angles must lie in (0, 180]")
 

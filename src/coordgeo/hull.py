@@ -1,11 +1,11 @@
 """3-D convex hull of small point sets, with volume and surface area.
 
 Inputs here are tiny (at most a few dozen points), so the hull is found by
-supporting-plane enumeration: every triple of points whose plane has all
-remaining points on one side defines a facet plane; coplanar facets are
-merged into a single polygon, ordered, and fan-triangulated.  This handles
-exactly-coplanar faces (cube, prisms) without tolerance gymnastics and is
-watertight by construction.
+supporting-plane enumeration, all triples in one array: every triple of points
+whose plane has all remaining points on one side defines a facet plane; coplanar
+facets are merged into a single polygon, ordered, and fan-triangulated.  This
+handles exactly-coplanar faces (cube, prisms, lifted cocircular points)
+without tolerance gymnastics and is watertight by construction.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ class HullResult:
 def convex_hull(vertices, tol: float = 1e-9) -> HullResult:
     """Convex hull of >= 4 non-coplanar points.
 
-    Raises ValueError on degenerate (coplanar or too-few) input.
+    Raises ValueError on degenerate (too few, coincident or coplanar) input.
     """
     pts = np.asarray(vertices, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3 or len(pts) < 4:
@@ -40,33 +40,36 @@ def convex_hull(vertices, tol: float = 1e-9) -> HullResult:
     eps = tol * scale
     centroid = pts.mean(axis=0)
 
-    planes = []
-    for i, j, k in combinations(range(len(pts)), 3):
-        normal = np.cross(pts[j] - pts[i], pts[k] - pts[i])
-        norm = np.linalg.norm(normal)
-        if norm < eps:
-            continue
-        normal = normal / norm
-        side = (pts - pts[i]) @ normal
-        if side.max() <= eps:
-            normal, side = -normal, -side
-        if side.min() < -eps:
-            continue
-        offset = float(normal @ pts[i])
-        for n2, o2 in planes:
-            if normal @ n2 > 1 - 1e-9 and abs(offset - o2) < eps:
-                break
-        else:
-            planes.append((normal, offset))
+    close = np.argwhere(np.triu(((pts[:, None] - pts) ** 2).sum(axis=2) <= eps * eps, 1))
+    if len(close):
+        raise ValueError(f"degenerate input: points {close[0, 0]} and {close[0, 1]} coincide")
 
-    if not planes:
+    tri = np.array(list(combinations(range(len(pts)), 3)))
+    normals = np.cross(pts[tri[:, 1]] - pts[tri[:, 0]], pts[tri[:, 2]] - pts[tri[:, 0]])
+    # a row-by-row matmul sums as np.dot does, so each unit normal is bitwise
+    # the one np.linalg.norm gives for its triple alone
+    norm = np.sqrt(normals[:, None, :] @ normals[:, :, None])[:, 0]
+    keep = norm[:, 0] >= eps
+    tri, normals = tri[keep], normals[keep] / norm[keep]
+    side = normals @ pts.T
+    side -= side[np.arange(len(tri)), tri[:, 0], None]
+    sign = np.where(side.max(axis=1) <= eps, -1.0, 1.0)
+    side *= sign[:, None]
+    keep = side.min(axis=1) >= -eps
+    tri, normals, side = tri[keep], sign[keep, None] * normals[keep], side[keep]
+    offsets = (normals[:, None, :] @ pts[tri[:, 0], :, None])[:, 0, 0]
+    # a supporting triple on an earlier one's plane is that facet again; judged by
+    # distance, since distinct facets of a thin hull can be < 1e-4 rad apart
+    repeat = (side <= eps)[:, tri].all(axis=2)
+    first = ~np.tril(repeat.T, -1).any(axis=1)
+    if not first.any():
         raise ValueError("degenerate input: points are coplanar")
 
     polygons = []
     faces = []
     volume = 0.0
     area = 0.0
-    for normal, offset in planes:
+    for normal, offset in zip(normals[first], offsets[first]):
         members = np.flatnonzero(np.abs(pts @ normal - offset) <= eps)
         face_pts = pts[members]
         fc = face_pts.mean(axis=0)
@@ -94,13 +97,10 @@ def convex_hull(vertices, tol: float = 1e-9) -> HullResult:
 
 
 def _check_watertight(faces):
-    edges = {}
-    for a, b, c in faces:
-        for u, v in ((a, b), (b, c), (c, a)):
-            key = (min(u, v), max(u, v))
-            edges[key] = edges.get(key, 0) + 1
-    bad = {e: n for e, n in edges.items() if n != 2}
+    edges = np.sort(np.array(faces)[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2))
+    edges, count = np.unique(edges, axis=0, return_counts=True)
     # fan triangulation shares polygon-internal diagonals twice as well, so
     # every edge of the triangle soup must appear exactly twice
-    if bad:
-        raise AssertionError(f"hull not watertight at edges {sorted(bad)[:4]}")
+    if (count != 2).any():
+        raise ValueError(f"degenerate input: hull not watertight at edges "
+                         f"{edges[count != 2][:4].tolist()}")

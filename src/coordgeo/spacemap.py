@@ -14,6 +14,7 @@ import numpy as np
 from .angles import Discretizer
 from .catalog import Catalog, TAXONOMY
 from .coefficients import descriptor, descriptor_arrays, distances, e_one
+from .hull import convex_hull
 from .shape import moment_per_neighbour, sphericity
 
 __all__ = [
@@ -300,11 +301,13 @@ def mds(dm, dims: int = 8, seed: int = 0, restarts: int = 20,
     """
     if dims < 1:
         raise ValueError("dims must be positive")
+    if restarts < 1:
+        raise ValueError("restarts must be positive")
     d = dm.d if isinstance(dm, DistanceMatrix) else np.asarray(dm, dtype=float)
     rng = np.random.default_rng(seed)
     starts = [_classical_mds(d, dims)]
     scale = max(float(d.max()), 1e-12)
-    for _ in range(max(restarts - 1, 0)):
+    for _ in range(restarts - 1):
         starts.append(rng.normal(scale=scale / 2.0, size=(len(d), dims)))
     best = None
     for x, trace, conv in _smacof_stack(d, np.stack(starts), max_iter, rtol):
@@ -317,68 +320,32 @@ def mds(dm, dims: int = 8, seed: int = 0, restarts: int = 20,
 
 
 def delaunay_2d(points) -> set:
-    """Bowyer-Watson Delaunay triangulation; returns the undirected edge set."""
-    tris, n = _bowyer_watson(points)
-    edges = set()
-    for t in tris:
-        for e in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
-            edges.add((min(e), max(e)))
-    return edges
+    """Delaunay graph of 2-D points as an undirected edge set: the lower convex
+    hull of the points lifted onto z = x^2 + y^2 (K. Q. Brown, 1979).  Raises
+    ValueError on coincident points and on points whose spread across their
+    principal axis is under 1e-6 of that along it."""
+    tris = _delaunay_triangles(points)
+    return set(map(tuple, np.sort(tris[:, [0, 1, 1, 2, 0, 2]].reshape(-1, 2)).tolist()))
 
 
-def _bowyer_watson(points):
+def _delaunay_triangles(points):
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 3:
         raise ValueError("need at least three 2-D points")
-    span = pts.max(axis=0) - pts.min(axis=0)
-    u = pts[1] - pts[0]
-    area2 = 0.0
-    for i in range(2, len(pts)):
-        v = pts[i] - pts[0]
-        area2 = max(area2, abs(u[0] * v[1] - u[1] * v[0]))
-    if area2 < 1e-12 * max(span.max(), 1.0) ** 2:
+    pts = pts - pts.mean(axis=0)
+    spread = np.linalg.svd(pts, compute_uv=False)
+    if spread[1] <= 1e-6 * spread[0]:
         raise ValueError("points are collinear")
-
-    n = len(pts)
-    center = pts.mean(axis=0)
-    radius = max(float(np.linalg.norm(pts - center, axis=1).max()), 1e-9)
-    big = 64.0 * radius
-    super_pts = np.array([
-        center + [0.0, 2.0 * big],
-        center + [-2.0 * big, -big],
-        center + [2.0 * big, -big],
-    ])
-    allp = np.vstack([pts, super_pts])
-    tris = [(n, n + 1, n + 2)]
-
-    def circumcircle(tri):
-        a, b, c = (allp[t] for t in tri)
-        d = 2.0 * (a[0] * (b[1] - c[1]) + b[0] * (c[1] - a[1]) + c[0] * (a[1] - b[1]))
-        if abs(d) < 1e-300:
-            return a, np.inf
-        ux = ((a @ a) * (b[1] - c[1]) + (b @ b) * (c[1] - a[1]) + (c @ c) * (a[1] - b[1])) / d
-        uy = ((a @ a) * (c[0] - b[0]) + (b @ b) * (a[0] - c[0]) + (c @ c) * (b[0] - a[0])) / d
-        u = np.array([ux, uy])
-        return u, float(((a - u) ** 2).sum())
-
-    for p in range(n):
-        bad = []
-        for t in tris:
-            u, r2 = circumcircle(t)
-            if ((allp[p] - u) ** 2).sum() <= r2 * (1 + 1e-12):
-                bad.append(t)
-        boundary = {}
-        for t in bad:
-            for e in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
-                key = (min(e), max(e))
-                boundary[key] = boundary.get(key, 0) + 1
-        tris = [t for t in tris if t not in bad]
-        for (u, v), cnt in sorted(boundary.items()):
-            if cnt == 1:
-                tris.append((u, v, p))
-
-    final = [t for t in tris if all(x < n for x in t)]
-    return final, n
+    # a unit-size copy makes the hull tolerance relative to the set; the apex
+    # above it keeps cocircular sets 3-D and leaves the lower hull as it is
+    pts = pts / np.abs(pts).max()
+    lifted = np.column_stack([pts, (pts ** 2).sum(axis=1)])
+    allp = np.vstack([lifted, [0.0, 0.0, lifted[:, 2].max() + 1.0]])
+    faces = np.array([f for f in convex_hull(allp).faces if len(pts) not in f])
+    p0, p1, p2 = allp[faces].transpose(1, 0, 2)
+    # a lower facet has the apex on the side its normal's z points to
+    normal = np.cross(p1 - p0, p2 - p0)
+    return faces[normal[:, 2] * ((allp[-1] - p0) * normal).sum(axis=1) > 0]
 
 
 @dataclass(frozen=True)
@@ -419,8 +386,8 @@ def class_averages(catalog: Catalog, tau: dict) -> list:
 def order_typicality_scatter(catalog: Catalog, disc: Discretizer, tau: dict) -> list:
     """Rows (code, one-particle coefficient, typicality, point-group order).
 
-    The point-group order column is not derivable from the vertex data alone
-    and is left empty.
+    The point-group order column is left empty: it is derivable from the
+    vertices, but filling it would change the typicality artifact.
     """
     rows = []
     for g in catalog.geometries:

@@ -57,6 +57,12 @@ def test_derive_rejects_bad_epsilon():
             derive_discretizer(pool, epsilon=eps)
 
 
+def test_pool_rejects_non_finite_values():
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=f"finite, got {bad}"):
+            AnglePool(values=np.array([bad, 90.0]), sources=("A", "B"))
+
+
 def test_derive_min_pts_noise():
     # an isolated point is noise for minPts=2 and keeps its cluster for 1
     pool = AnglePool(values=np.array([50.0, 50.5, 120.0]), sources=("A", "B", "C"))

@@ -1,13 +1,84 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 import coordgeo as cg
-from coordgeo.hull import convex_hull
+from coordgeo.hull import HullResult, _check_watertight, convex_hull
 from coordgeo.shape import moment_per_neighbour, sphericity
 
 from published import TABLE
+
+
+def _convex_hull_loop(vertices, tol=1e-9):
+    """Reference convex_hull: the supporting-plane search one triple at a time."""
+    pts = np.asarray(vertices, dtype=float)
+    scale = max(1.0, float(np.abs(pts).max()))
+    eps = tol * scale
+    centroid = pts.mean(axis=0)
+
+    planes = []
+    for i, j, k in combinations(range(len(pts)), 3):
+        normal = np.cross(pts[j] - pts[i], pts[k] - pts[i])
+        norm = np.linalg.norm(normal)
+        if norm < eps:
+            continue
+        normal = normal / norm
+        side = (pts - pts[i]) @ normal
+        if side.max() <= eps:
+            normal, side = -normal, -side
+        if side.min() < -eps:
+            continue
+        offset = float(normal @ pts[i])
+        for n2, o2 in planes:
+            if normal @ n2 > 1 - 1e-9 and abs(offset - o2) < eps:
+                break
+        else:
+            planes.append((normal, offset))
+
+    polygons = []
+    faces = []
+    volume = 0.0
+    area = 0.0
+    for normal, offset in planes:
+        members = np.flatnonzero(np.abs(pts @ normal - offset) <= eps)
+        face_pts = pts[members]
+        fc = face_pts.mean(axis=0)
+        ref = face_pts[0] - fc
+        ref = ref - (ref @ normal) * normal
+        ref = ref / np.linalg.norm(ref)
+        perp = np.cross(normal, ref)
+        ang = np.arctan2((face_pts - fc) @ perp, (face_pts - fc) @ ref)
+        ordered = members[np.argsort(ang)]
+        polygons.append(tuple(int(x) for x in ordered))
+        for t in range(1, len(ordered) - 1):
+            a, b, c = ordered[0], ordered[t], ordered[t + 1]
+            faces.append((int(a), int(b), int(c)))
+            ab = pts[b] - pts[a]
+            ac = pts[c] - pts[a]
+            area += 0.5 * np.linalg.norm(np.cross(ab, ac))
+            volume += abs(np.dot(pts[a] - centroid,
+                                 np.cross(pts[b] - centroid, pts[c] - centroid))) / 6.0
+
+    _check_watertight(faces)
+    return HullResult(faces=tuple(faces), polygons=tuple(polygons),
+                      volume=float(volume), area=float(area))
+
+
+def _lifted(pts):
+    """2-D points on the paraboloid z = x^2 + y^2, plus an apex above them."""
+    lifted = np.column_stack([pts, (pts ** 2).sum(axis=1)])
+    return np.vstack([lifted, [*pts.mean(axis=0), lifted[:, 2].max() + 1.0]])
+
+
+def test_hull_matches_loop_reference(catalog):
+    rng = np.random.default_rng(0)
+    sets = [g.vertices for g in catalog.geometries]
+    sets += [rng.normal(size=(n, 3)) for n in (4, 8, 14, 23) for _ in range(8)]
+    sets += [_lifted(rng.uniform(size=(22, 2))) for _ in range(8)]
+    for pts in sets:
+        assert convex_hull(pts) == _convex_hull_loop(pts)
 
 
 def test_cube_volume_area():
@@ -37,6 +108,13 @@ def test_tetrahedron_four_faces():
 def test_coplanar_raises():
     pts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], float)
     with pytest.raises(ValueError):
+        convex_hull(pts)
+
+
+def test_repeated_vertex_raises():
+    pts = np.vstack([cg.build_geometry("TET").vertices, [1.0, 0.0, 0.0]])
+    pts[-1] = pts[2]
+    with pytest.raises(ValueError, match="points 2 and 4 coincide"):
         convex_hull(pts)
 
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 import coordgeo as cg
 from coordgeo.coefficients import d_e, descriptor
 from coordgeo.spacemap import (DistanceMatrix, _smacof, _smacof_stack,
-                               _classical_mds, delaunay_2d,
+                               _classical_mds, _delaunay_triangles, delaunay_2d,
                                hierarchical_cluster, mds, typicality,
                                verify_metric)
 
@@ -258,6 +258,12 @@ def test_mds_rejects_bad_dims(dmatrix):
         mds(dmatrix, dims=0)
 
 
+def test_mds_rejects_bad_restarts(dmatrix):
+    for restarts in (0, -5):
+        with pytest.raises(ValueError, match="restarts must be positive"):
+            mds(dmatrix, restarts=restarts)
+
+
 def test_delaunay_triangle():
     edges = delaunay_2d(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
     assert edges == {(0, 1), (0, 2), (1, 2)}
@@ -273,28 +279,76 @@ def test_delaunay_collinear_raises():
         delaunay_2d(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]))
 
 
-def test_delaunay_empty_circumcircle():
-    from coordgeo.spacemap import _bowyer_watson
+def test_delaunay_near_collinear_raises():
+    with pytest.raises(ValueError, match="collinear"):
+        delaunay_2d(np.array([[0.0, 0.0], [1.0, 1e-7], [2.0, 0.0]]))
 
+
+def test_delaunay_thin_quadrilateral():
+    edges = delaunay_2d(np.array([[0.0, 0.0], [1.0, 1e-4], [2.0, 0.0], [3.0, 1e-4]]))
+    assert edges == {(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)}
+
+
+def test_delaunay_coincident_raises():
+    with pytest.raises(ValueError, match="points 1 and 3 coincide"):
+        delaunay_2d(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]))
+
+
+def test_delaunay_ignores_translation_and_scale():
+    pts = np.random.default_rng(4).uniform(size=(15, 2))
+    assert delaunay_2d(1e-7 * pts) == delaunay_2d(pts) == delaunay_2d(pts + 1e6)
+
+
+def _circumcircle_empty(pts, tris):
+    for i, j, k in tris:
+        a, b, c = pts[i], pts[j], pts[k]
+        d = 2.0 * (a[0] * (b[1] - c[1]) + b[0] * (c[1] - a[1])
+                   + c[0] * (a[1] - b[1]))
+        assert abs(d) > 1e-12
+        ux = ((a @ a) * (b[1] - c[1]) + (b @ b) * (c[1] - a[1])
+              + (c @ c) * (a[1] - b[1])) / d
+        uy = ((a @ a) * (c[0] - b[0]) + (b @ b) * (a[0] - c[0])
+              + (c @ c) * (b[0] - a[0])) / d
+        r2 = (a[0] - ux) ** 2 + (a[1] - uy) ** 2
+        inside = ((pts[:, 0] - ux) ** 2 + (pts[:, 1] - uy) ** 2
+                  < r2 * (1.0 - 1e-9))
+        inside[[i, j, k]] = False
+        assert not inside.any()
+
+
+def test_delaunay_empty_circumcircle():
     rng = np.random.default_rng(12)
     for _ in range(5):
         pts = rng.uniform(size=(18, 2))
-        tris, n = _bowyer_watson(pts)
+        tris = _delaunay_triangles(pts)
         assert len(tris) > 0
-        for i, j, k in tris:
-            a, b, c = pts[i], pts[j], pts[k]
-            d = 2.0 * (a[0] * (b[1] - c[1]) + b[0] * (c[1] - a[1])
-                       + c[0] * (a[1] - b[1]))
-            assert abs(d) > 1e-12
-            ux = ((a @ a) * (b[1] - c[1]) + (b @ b) * (c[1] - a[1])
-                  + (c @ c) * (a[1] - b[1])) / d
-            uy = ((a @ a) * (c[0] - b[0]) + (b @ b) * (a[0] - c[0])
-                  + (c @ c) * (b[0] - a[0])) / d
-            r2 = (a[0] - ux) ** 2 + (a[1] - uy) ** 2
-            inside = ((pts[:, 0] - ux) ** 2 + (pts[:, 1] - uy) ** 2
-                      < r2 * (1.0 - 1e-9))
-            inside[[i, j, k]] = False
-            assert not inside.any()
+        _circumcircle_empty(pts, tris)
+
+
+def _hull_vertex_count(pts):
+    """Vertices of the 2-D convex hull, by Andrew's monotone chain."""
+    pts = sorted(map(tuple, pts))
+
+    def chain(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and ((out[-1][0] - out[-2][0]) * (p[1] - out[-2][1])
+                                     - (out[-1][1] - out[-2][1]) * (p[0] - out[-2][0])) <= 0:
+                out.pop()
+            out.append(p)
+        return out
+
+    return len(chain(pts)) + len(chain(reversed(pts))) - 2
+
+
+def test_delaunay_complete_triangulation():
+    # a triangulation of n points with h on the hull has 3n - 3 - h edges;
+    # a finite super-triangle drops hull edges (sets 28 and 81 here)
+    rng = np.random.default_rng(1)
+    for _ in range(90):
+        pts = rng.uniform(size=(22, 2))
+        _circumcircle_empty(pts, _delaunay_triangles(pts))
+        assert len(delaunay_2d(pts)) == 3 * len(pts) - 3 - _hull_vertex_count(pts)
 
 
 def test_typicality_extremes(dmatrix, embedding):
