@@ -232,14 +232,14 @@ def cmd_analyze(args):
     with _output(args.out) as out:
         out.write("frame,id,k,m,e,label,d_e\n")
         for fi, frame in enumerate(iter_frames(args.path, fmt=args.format)):
-            rcut = args.rcut
+            rcut, pairs = args.rcut, None
             if rcut is None:
                 try:
-                    rcut = auto_cutoff(frame)
+                    rcut, pairs = auto_cutoff(frame)
                 except ValueError as exc:
                     raise ValueError(f"frame {fi}: {exc}; set the cutoff "
                                      f"explicitly with --rcut") from exc
-            nl = neighbours_cutoff(frame, rcut)
+            nl = neighbours_cutoff(frame, rcut, pairs)
             e, kk, mm, labels, dists = analyze_frame(frame, nl, catalog, disc)
             out.write("\n".join([
                 f"{fi},{i},{k},{m},{ei:.6f},{lab},{di:.6f}"

@@ -31,14 +31,19 @@ class HullResult:
 def convex_hull(vertices, tol: float = 1e-9) -> HullResult:
     """Convex hull of >= 4 non-coplanar points.
 
-    Raises ValueError on degenerate (too few, coincident or coplanar) input.
+    tol is relative: lengths below tol times the largest coordinate offset
+    from the centroid count as zero, so the hull does not depend on the
+    set's scale.  Raises ValueError on degenerate (too few, coincident or
+    coplanar) input.
     """
     pts = np.asarray(vertices, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3 or len(pts) < 4:
         raise ValueError("need at least four 3-D points")
-    scale = max(1.0, float(np.abs(pts).max()))
-    eps = tol * scale
     centroid = pts.mean(axis=0)
+    # tolerances relative to the set's size: eps for lengths, eps * scale
+    # for the cross products, which are lengths squared
+    scale = float(np.abs(pts - centroid).max())
+    eps = tol * scale
 
     close = np.argwhere(np.triu(((pts[:, None] - pts) ** 2).sum(axis=2) <= eps * eps, 1))
     if len(close):
@@ -49,7 +54,7 @@ def convex_hull(vertices, tol: float = 1e-9) -> HullResult:
     # a row-by-row matmul sums as np.dot does, so each unit normal is bitwise
     # the one np.linalg.norm gives for its triple alone
     norm = np.sqrt(normals[:, None, :] @ normals[:, :, None])[:, 0]
-    keep = norm[:, 0] >= eps
+    keep = norm[:, 0] >= eps * scale
     tri, normals = tri[keep], normals[keep] / norm[keep]
     side = normals @ pts.T
     side -= side[np.arange(len(tri)), tri[:, 0], None]

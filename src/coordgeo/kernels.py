@@ -3,9 +3,11 @@
 Each kernel has one numpy implementation and no per-particle or per-bin
 Python loop.  One vectorised cell list, pairs_within (Allen & Tildesley,
 Computer Simulation of Liquids, sec. 5.3), finds the pairs within a radius for
-every box, thin slabs and open frames (box None) included, each pair once:
-neighbour_csr mirrors them into CSR rows and snapshot.auto_cutoff bins their
-distances; the O(N^2) brute force is only the test reference.  The angle
+every box, thin slabs and open frames (box None) included, each pair once.
+snapshot.auto_cutoff bins the distances of the pairs within two mean spacings
+and keeps those within the cutoff it picks; pairs_csr mirrors pairs into CSR
+rows, for neighbour_csr's search and for the pairs auto_cutoff kept alike.
+The O(N^2) brute force is only the test reference.  The angle
 profile is batched by coordination number k: one minimum-image step for all
 bond vectors, then one stacked Gram matrix per k.  The bins that hold a gap
 above VALUE_RESOLUTION are described by their gaps and cluster sizes and
@@ -129,11 +131,17 @@ def pairs_within(pos, box, rcut):
 
 
 def neighbour_csr(pos, box, rcut):
-    """CSR neighbour lists within rcut: each pair of pairs_within in the rows
-    of both its particles, rows sorted.  Output equals _np_neighbour_pairs."""
-    n = len(pos)
+    """CSR neighbour lists within rcut from pairs_within, rows sorted.
+    Output equals _np_neighbour_pairs."""
+    return pairs_csr(len(pos), pairs_within(pos, box, rcut))
+
+
+def pairs_csr(n, pairs):
+    """CSR rows of n particles from (i, j, ...) chunks of pairs, each pair
+    once: every pair goes into the rows of both its particles, rows sorted.
+    The result does not depend on how the pairs are chunked or ordered."""
     key = np.concatenate([np.concatenate([i * n + j, j * n + i])
-                          for i, j, _ in pairs_within(pos, box, rcut)])
+                          for i, j, *_ in pairs])
     key.sort()
     starts = np.concatenate([[0], np.cumsum(np.bincount(key // n, minlength=n))])
     return starts, key % n

@@ -3,8 +3,11 @@
 Trajectories are streamed: iter_frames yields one frame at a time from the
 open file, so memory holds one frame whatever the file length.
 Neighbourhoods come from a cutoff search (kernels.neighbour_csr: a numpy cell
-list for every box, minimum image under a periodic box) at a given cutoff or
-at the first RDF minimum (auto_cutoff, binned from the same cell list).  Each
+list for every box, minimum image under a periodic box) at a given cutoff, or
+at the first RDF minimum.  auto_cutoff bins the pairs the same cell list finds
+within two mean spacings and returns those within the cutoff it picks, so
+neighbours_cutoff builds that frame's lists without a second search; only a
+frame whose minimum lies beyond that reach is binned out to half the box.  Each
 particle's bond angles are discretized with the catalog discretizer into the
 catalog's descriptor format: k and the per-class counts f of distinct
 measured angles, with m = f.sum().  The per-particle coefficient uses k and
@@ -28,6 +31,7 @@ from .catalog import Catalog
 from .coefficients import descriptor_arrays
 
 RDF_BINS = 200  # auto_cutoff's histogram bins
+RDF_CAP = 2.0    # auto_cutoff's first pair search, in mean particle spacings
 
 __all__ = [
     "Frame",
@@ -188,26 +192,59 @@ class NeighbourList:
         return np.diff(self.starts)
 
 
-def neighbours_cutoff(frame: Frame, r_cut: float) -> NeighbourList:
+def neighbours_cutoff(frame: Frame, r_cut: float, pairs=None) -> NeighbourList:
     """All neighbours within r_cut (minimum image when the frame is periodic),
-    each row sorted, from the cell-list kernel."""
+    each row sorted, from the cell-list kernel.
+
+    pairs, when given, are the (i, j) index arrays of every pair within r_cut,
+    each pair once, as auto_cutoff returns them; their rows are built without
+    a second search.  A periodic r_cut above half the smallest box width, or
+    an open-frame r_cut that reaches the bounding-box diagonal of three or
+    more particles (every particle would neighbour all others), raises
+    ValueError.
+    """
     if not 0 < r_cut < np.inf:
         raise ValueError("r_cut must be positive and finite")
+    pos = frame.positions
     if frame.box is not None:
         widths = kernels._perpendicular_widths(frame.box)
         if r_cut > 0.5 * widths.min():
             raise ValueError(
                 f"r_cut={r_cut} exceeds half the smallest box width "
                 f"({0.5 * widths.min():.6g}); minimum image is ambiguous")
-    starts, idx = kernels.neighbour_csr(frame.positions, frame.box, r_cut)
+    elif frame.n >= 3:
+        diagonal = float(np.linalg.norm(pos.max(axis=0) - pos.min(axis=0)))
+        if r_cut >= diagonal:
+            raise ValueError(
+                f"r_cut={r_cut} reaches the diagonal of the open frame's "
+                f"bounding box ({diagonal:.6g}); every particle would "
+                f"neighbour all {frame.n - 1} others")
+    if pairs is None:
+        starts, idx = kernels.neighbour_csr(pos, frame.box, r_cut)
+    else:
+        starts, idx = kernels.pairs_csr(frame.n, [pairs])
     return NeighbourList(starts=starts, indices=idx, cutoff=float(r_cut))
 
 
-def auto_cutoff(frame: Frame) -> float:
-    """Cutoff at the first minimum of the radial distribution function.
+def auto_cutoff(frame: Frame):
+    """Cutoff at the first minimum of the radial distribution function, and
+    the pairs within it.
 
-    Pair distances up to half the box width (half the diagonal of an open
-    frame) are binned from the cell list, kernels.pairs_within.
+    Returns (r_cut, pairs): pairs are the (i, j) index arrays of every pair
+    within r_cut, each pair once, for neighbours_cutoff(frame, r_cut, pairs),
+    or None when the cutoff came from the full search.
+
+    The RDF has RDF_BINS bins out to rmax, half the box width (half the
+    diagonal of an open frame).  It is filled first from the pairs within
+    RDF_CAP mean spacings, (V/N)^(1/3) with V the box volume or the
+    bounding-box volume of an open frame, found by the cell list
+    kernels.pairs_within; only the bins below that reach are read.  When
+    the reach covers rmax, leaves fewer than three complete smoothed bins
+    (a flat open frame has V = 0), or holds no minimum after the peak, all
+    pairs out to rmax are binned instead.  The capped answer differs from
+    the full one only on a frame whose smoothed g(r) has its global maximum
+    beyond the bins read, that is near or beyond the reach; the first peak
+    of a dense liquid or crystal lies well inside it.
 
     Structures whose first two shells nearly coincide (the 8+6 split of a
     body-centred cubic crystal, for instance) keep a genuine RDF minimum
@@ -217,23 +254,55 @@ def auto_cutoff(frame: Frame) -> float:
     pos, box = frame.positions, frame.box
     if box is not None:
         rmax = 0.499 * kernels._perpendicular_widths(box).min()
+        volume = abs(np.linalg.det(box))
     else:
         span = pos.max(axis=0) - pos.min(axis=0)
         rmax = max(float(np.linalg.norm(span)) / 2.0, 1e-9)
+        volume = float(np.prod(span))
+    reach = RDF_CAP * (volume / frame.n) ** (1.0 / 3.0)
+    return (_rdf_minimum(pos, box, rmax, min(reach, rmax))
+            or _rdf_minimum(pos, box, rmax, rmax))
+
+
+def _rdf_minimum(pos, box, rmax, reach):
+    """auto_cutoff's (r_cut, pairs), binning the pairs within reach <= rmax.
+
+    Below rmax, the smoothed g(r) is read only where its 5-bin window lies
+    in bins wholly below reach: the peak is taken among those bins, and a
+    minimum needs its right neighbour read too.  Too few such bins, or no
+    minimum among them, give None.  At rmax every bin is read: no pairs
+    raise ValueError, no minimum gives the bin RDF_BINS // 10 past the
+    peak, and pairs is None.
+    """
+    edges = np.histogram_bin_edges([], RDF_BINS, range=(0.0, rmax))
+    capped = reach < rmax
+    # the smoothed bins read: those whose window ends below reach
+    top = int(np.count_nonzero(edges[1:] < reach)) - 2 if capped else RDF_BINS
+    if top < 3:
+        return None
     hist = np.zeros(RDF_BINS, dtype=np.int64)
-    for _, _, r2 in kernels.pairs_within(pos, box, rmax):
+    kept = []
+    for i, j, r2 in kernels.pairs_within(pos, box, reach):
         hist += np.histogram(np.sqrt(r2), RDF_BINS, range=(0.0, rmax))[0]
-    if not hist.any():
+        if capped:
+            kept.append((i, j, r2))
+    if not capped and not hist.any():
         raise ValueError("no pairs found; cannot estimate a cutoff")
-    edges = np.linspace(0.0, rmax, RDF_BINS + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
     g = hist / np.maximum(centers ** 2, 1e-12)  # shell-volume normalization
     g = np.convolve(g, np.ones(5) / 5.0, mode="same")
-    peak = int(np.argmax(g))
-    for i in range(peak + 1, len(g) - 1):
-        if g[i] <= g[i - 1] and g[i] < g[i + 1]:
-            return float(centers[i])
-    return float(centers[min(peak + len(g) // 10, len(g) - 1)])
+    peak = int(np.argmax(g[:top]))
+    r_cut = next((float(centers[i]) for i in range(peak + 1, top - 1)
+                  if g[i] <= g[i - 1] and g[i] < g[i + 1]), None)
+    if not capped:
+        if r_cut is None:
+            r_cut = float(centers[min(peak + RDF_BINS // 10, RDF_BINS - 1)])
+        return r_cut, None
+    if r_cut is None:
+        return None
+    i, j, r2 = (np.concatenate(a) for a in zip(*kept))
+    keep = r2 <= r_cut * r_cut
+    return r_cut, (i[keep], j[keep])
 
 
 def _coefficient(kk, mm):

@@ -285,6 +285,19 @@ def test_analyze_zero_rcut_fails(tmp_path, capsys):
     assert not out.exists() and not summary.exists()
 
 
+def test_analyze_huge_rcut_on_open_frame_fails(tmp_path, capsys):
+    """A finite cutoff at the bounding-box diagonal of an open frame would
+    give every particle all N - 1 others as neighbours, and a label."""
+    xyz = tmp_path / "open108.xyz"
+    write_frames(xyz, [make_lattice("fcc", 3, noise=0.01)], fmt="xyz")
+    out = tmp_path / "pp.csv"
+    assert _run(["analyze", str(xyz), "--rcut", "1e9", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: r_cut=1000000000.0 reaches the diagonal")
+    assert "all 107 others" in err
+    assert not out.exists()
+
+
 def test_nan_epsilon_fails(tmp_path, capsys):
     out = tmp_path / "disc.json"
     assert _run(["inherent-angles", "--epsilon", "nan", "--out", str(out)]) == 1

@@ -172,6 +172,13 @@ def test_sphericity_invariances(catalog):
         q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
         scale = float(rng.uniform(0.1, 10.0))
         assert sphericity(scale * v @ q) == pytest.approx(base, abs=1e-9)
+    # the hull's tolerance is relative, so no scale makes a polyhedron flat
+    for code in ("CSA", "ICO", "TET"):
+        v = catalog.get(code).vertices
+        base = sphericity(v)
+        for scale in 10.0 ** np.arange(-6, 7):
+            assert sphericity(scale * v) == pytest.approx(base, abs=1e-9), \
+                (code, scale)
 
 
 def test_moment_published_anchors(catalog):

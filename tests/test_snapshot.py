@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import coordgeo as cg
-from coordgeo import kernels
+from coordgeo import kernels, snapshot
 from coordgeo.snapshot import (Frame, analyze_frame, auto_cutoff, iter_frames,
                                make_lattice, neighbours_cutoff, read_frames,
                                write_frames)
@@ -129,6 +129,21 @@ def test_neighbours_rcut_validation():
         neighbours_cutoff(fr, 2.0)  # box is 3x3x3
 
 
+def test_neighbours_open_frame_diagonal():
+    # at the bounding-box diagonal every particle neighbours all N - 1 others
+    pos = make_lattice("sc", 3).positions
+    diagonal = math.sqrt(12.0)  # corners (0, 0, 0) and (2, 2, 2)
+    for big in (diagonal, 1e9):
+        with pytest.raises(ValueError, match="diagonal"):
+            neighbours_cutoff(Frame(positions=pos), big)
+    nl = neighbours_cutoff(Frame(positions=pos), 0.999 * diagonal)
+    # below it, only the 8 corners miss one particle, the opposite corner
+    assert np.bincount(nl.counts).tolist()[25:] == [8, 19]
+    # two particles span the diagonal yet keep k = 1: no label for them
+    pair = Frame(positions=[[0.0, 0, 0], [1.0, 0, 0]])
+    assert neighbours_cutoff(pair, 1e9).counts.tolist() == [1, 1]
+
+
 def test_cell_equals_brute_random():
     rng = np.random.default_rng(42)
     for trial in range(6):
@@ -207,18 +222,21 @@ def test_coincident_particles_rejected(catalog, discretizer):
 
 def test_auto_cutoff_fcc():
     fr = make_lattice("fcc", 5, noise=0.004, seed=1)
-    rc = auto_cutoff(fr)
+    rc, _ = auto_cutoff(fr)
     assert 1.0 / math.sqrt(2.0) < rc < 1.0  # between first and second shells
+
+
+def _rdf_rmax(frame):
+    if frame.box is not None:
+        return 0.499 * kernels._perpendicular_widths(frame.box).min()
+    span = frame.positions.max(axis=0) - frame.positions.min(axis=0)
+    return max(float(np.linalg.norm(span)) / 2.0, 1e-9)
 
 
 def _auto_cutoff_loop(frame):
     """Reference auto_cutoff: a neighbour list at the full radius, then every
     pair distance recomputed in a loop over particles."""
-    if frame.box is not None:
-        rmax = 0.499 * kernels._perpendicular_widths(frame.box).min()
-    else:
-        span = frame.positions.max(axis=0) - frame.positions.min(axis=0)
-        rmax = max(float(np.linalg.norm(span)) / 2.0, 1e-9)
+    rmax = _rdf_rmax(frame)
     starts, indices = kernels._np_neighbour_pairs(frame.positions, frame.box,
                                                   rmax)
     dists = []
@@ -248,7 +266,21 @@ def _auto_cutoff_loop(frame):
     return float(centers[min(peak + len(g) // 10, len(g) - 1)])
 
 
-def test_auto_cutoff_equals_particle_loop():
+@pytest.fixture
+def searches(monkeypatch):
+    """The radii of every kernels.pairs_within search, in call order."""
+    radii = []
+    search = kernels.pairs_within
+
+    def recorded(pos, box, rcut):
+        radii.append(rcut)
+        return search(pos, box, rcut)
+
+    monkeypatch.setattr(kernels, "pairs_within", recorded)
+    return radii
+
+
+def test_auto_cutoff_equals_particle_loop(searches):
     """Noisy lattices with and without their box, and random frames."""
     frames = []
     for kind, cells in (("fcc", 4), ("bcc", 5), ("hcp", 3), ("sc", 5)):
@@ -264,6 +296,14 @@ def test_auto_cutoff_equals_particle_loop():
         pos = rng.uniform(0.0, 1.0, size=(n, 3)) @ box
         frames += [Frame(positions=pos, box=box), Frame(positions=pos)]
     frames.append(Frame(positions=np.zeros((1, 3))))
+    # melts: 4-10 % of the nearest-neighbour distance, the capped search
+    # alone must answer, with the full search's cutoff
+    melts = []
+    for kind, cells, nn, level in (("fcc", 5, 2 ** -0.5, 0.04),
+                                   ("hcp", (5, 3, 3), 1.0, 0.07),
+                                   ("bcc", 6, 3 ** 0.5 / 2, 0.10)):
+        fr = make_lattice(kind, cells, noise=level * nn, seed=4)
+        melts += [fr, Frame(positions=fr.positions)]
 
     def outcome(fn, fr):
         try:
@@ -271,9 +311,70 @@ def test_auto_cutoff_equals_particle_loop():
         except ValueError as exc:  # no pair within the radius
             return str(exc)
 
-    for fr in frames:
-        assert outcome(auto_cutoff, fr) == outcome(_auto_cutoff_loop, fr)
+    for fr, melt in [(fr, False) for fr in frames] + [(fr, True) for fr in melts]:
+        searches.clear()
+        got = outcome(auto_cutoff, fr)
+        assert (got if isinstance(got, str) else got[0]) == \
+            outcome(_auto_cutoff_loop, fr)
+        if isinstance(got, str) or got[1] is None:
+            assert not melt
+            continue
+        assert len(searches) == 1 and searches[0] < _rdf_rmax(fr)
+        # the kept pairs are exactly the neighbour lists at that cutoff
+        nl = neighbours_cutoff(fr, *got)
+        starts, idx = kernels.neighbour_csr(fr.positions, fr.box, got[0])
+        assert np.array_equal(nl.starts, starts)
+        assert np.array_equal(nl.indices, idx)
     assert outcome(auto_cutoff, frames[-1]).startswith("no pairs found")
+
+
+def _clusters():
+    """16 particles within 0.05 of each site of a 3x3x3 grid of spacing 1:
+    from the first peak to the cap, at 0.79, the RDF is empty."""
+    rng = np.random.default_rng(5)
+    sites = np.stack(np.meshgrid(*[np.arange(3.0)] * 3, indexing="ij"),
+                     axis=-1).reshape(-1, 1, 3)
+    blob = rng.normal(size=(16, 3))
+    blob *= 0.05 * rng.uniform(0.2, 1.0, size=(16, 1)) / np.linalg.norm(
+        blob, axis=1, keepdims=True)
+    return Frame(positions=(sites + blob).reshape(-1, 3), box=3.0 * np.eye(3))
+
+
+def _random_gas(n):
+    rng = np.random.default_rng(11)
+    box = np.diag(rng.uniform(3.0, 6.0, size=3))
+    box[1, 0] = 0.4 * box[0, 0]
+    return Frame(positions=rng.uniform(0.0, 1.0, size=(n, 3)) @ box, box=box)
+
+
+_FALLBACKS = {
+    "cap reaches rmax": lambda: _random_gas(40),
+    "no complete bins": lambda: Frame(positions=np.c_[  # flat: V = 0
+        np.indices((8, 8)).reshape(2, -1).T, np.zeros(64)]),
+    "no minimum inside the cap": _clusters,
+}
+
+
+@pytest.mark.parametrize("branch", list(_FALLBACKS))
+def test_auto_cutoff_fallbacks(searches, branch):
+    """Each way the capped search gives way to the full one at rmax."""
+    fr = _FALLBACKS[branch]()
+    if fr.box is not None:
+        volume = abs(np.linalg.det(fr.box))
+    else:
+        volume = float(np.prod(np.ptp(fr.positions, axis=0)))
+    reach = snapshot.RDF_CAP * (volume / fr.n) ** (1.0 / 3.0)
+    rmax = _rdf_rmax(fr)
+    rc, pairs = auto_cutoff(fr)
+    assert pairs is None
+    assert rc == _auto_cutoff_loop(fr)
+    if branch == "cap reaches rmax":
+        assert reach >= rmax and searches == [rmax]
+    elif branch == "no complete bins":
+        assert volume == 0.0 and searches == [rmax]
+    else:
+        assert searches == [pytest.approx(reach), rmax] and reach < rmax
+    neighbours_cutoff(fr, rc)  # the fallback cutoff is a valid one
 
 
 def test_frame_validation():
