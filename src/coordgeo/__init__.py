@@ -7,9 +7,8 @@ the resulting metric space (clustering, MDS, typicality), and applies the
 machinery to classify local structure in particle snapshots.
 """
 
-from .angles import (AnglePool, AngleProfile, Discretizer, axioms_satisfied,
-                     bond_angles, collect_pool, derive_discretizer, discretize,
-                     profile)
+from .angles import (AnglePool, AngleProfile, Discretizer, bond_angles,
+                     collect_pool, derive_discretizer, discretize, profile)
 from .catalog import (CAPPING_RELATION, CODES, TAXONOMY, Catalog, GeometrySpec,
                       build_catalog, build_geometry, capping_reduced_set)
 from .coefficients import (ParticleDescriptor, check_loose_bounds,
@@ -19,9 +18,9 @@ from .shape import moment_per_neighbour, sphericity
 from .snapshot import (Frame, NeighbourList, analyze_frame, auto_cutoff,
                        iter_frames, make_lattice, neighbours_cutoff,
                        read_frames, write_frames)
-from .spacemap import (Dendrogram, DistanceMatrix, Embedding, MetricReport,
-                       TypicalityReport, class_averages, delaunay_2d,
-                       distance_matrix, hierarchical_cluster, mds, typicality,
-                       verify_metric)
+from .spacemap import (AxiomReport, Dendrogram, DistanceMatrix, Embedding,
+                       MetricReport, TypicalityReport, class_averages,
+                       delaunay_2d, distance_matrix, hierarchical_cluster, mds,
+                       typicality, verify_axioms, verify_metric)
 
 __version__ = "0.1.0"

@@ -36,8 +36,6 @@ __all__ = [
     "discretize",
     "AngleProfile",
     "profile",
-    "axioms_satisfied",
-    "AxiomReport",
 ]
 
 DISTINCT_TOL = 1e-6  # degrees; separates ideal angles from float noise
@@ -237,50 +235,3 @@ def profile(g: GeometrySpec, d: Discretizer) -> AngleProfile:
     cls = d.classify(distinct_values(bond_angles(g.vertices)))
     return AngleProfile(geometry_code=g.code,
                         f=np.bincount(cls, minlength=d.n_classes))
-
-
-@dataclass(frozen=True)
-class AxiomReport:
-    passed: bool
-    comparisons: tuple
-
-    def __str__(self):
-        lines = [f"axioms {'satisfied' if self.passed else 'violated'}"]
-        for name, text, ok in self.comparisons:
-            lines.append(f"  [{'ok' if ok else 'FAIL'}] {name}: {text}")
-        return "\n".join(lines)
-
-
-def axioms_satisfied(d: Discretizer, catalog: Catalog):
-    """Check the four topology axioms under a given discretizer.
-
-    1a/1b: FCC and HCP are each closer to one another than to BCC.
-    2a: CSA and BSA are the two nearest geometries to SA.
-    2b: CSP and BSP are the two nearest geometries to HDR.
-    """
-    from .coefficients import d_e, descriptor
-
-    desc = {c: descriptor(catalog.get(c), d) for c in catalog.codes}
-
-    def dist(a, b):
-        return d_e(desc[a], desc[b])
-
-    comparisons = []
-    d_fh = dist("FCC", "HCP")
-    d_fb = dist("FCC", "BCC")
-    d_hb = dist("HCP", "BCC")
-    ok1a = d_fh < d_fb
-    ok1b = d_fh < d_hb
-    comparisons.append(("1a", f"d(FCC,HCP)={d_fh:.4f} < d(FCC,BCC)={d_fb:.4f}", ok1a))
-    comparisons.append(("1b", f"d(HCP,FCC)={d_fh:.4f} < d(HCP,BCC)={d_hb:.4f}", ok1b))
-    for name, target, pair in (("2a", "SA", {"CSA", "BSA"}),
-                               ("2b", "HDR", {"CSP", "BSP"})):
-        ranked = sorted((dist(target, c), c) for c in catalog.codes if c != target)
-        nearest = {ranked[0][1], ranked[1][1]}
-        ok = nearest == pair
-        comparisons.append(
-            (name, f"two nearest to {target}: "
-                   f"{ranked[0][1]}={ranked[0][0]:.4f}, {ranked[1][1]}={ranked[1][0]:.4f}",
-             ok))
-    passed = all(ok for _, _, ok in comparisons)
-    return passed, AxiomReport(passed=passed, comparisons=tuple(comparisons))

@@ -12,13 +12,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .angles import axioms_satisfied, collect_pool, derive_discretizer
+from .angles import collect_pool, derive_discretizer
 from .catalog import build_catalog, catalog_to_json
 from .coefficients import descriptor, e_one
 from .shape import moment_per_neighbour, sphericity
 from .snapshot import analyze_frame, auto_cutoff, iter_frames, neighbours_cutoff
 from .spacemap import (delaunay_2d, distance_matrix, hierarchical_cluster,
-                       mds, order_typicality_scatter, typicality)
+                       mds, order_typicality_scatter, typicality,
+                       verify_axioms)
 
 @dataclass
 class RunConfig:
@@ -33,6 +34,8 @@ class RunConfig:
             raise ValueError("dims must be at least 1")
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 _DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
@@ -71,12 +74,14 @@ def _resolve_config(args) -> RunConfig:
 
 
 def _derive(args):
-    """The run configuration, the catalog and its discretizer."""
+    """The run configuration, the catalog, its discretizer, their distance
+    matrix and its topology-axiom report."""
     cfg = _resolve_config(args)
     catalog = build_catalog()
     disc = derive_discretizer(collect_pool(catalog), min_pts=cfg.min_pts,
                               epsilon=cfg.epsilon)
-    return cfg, catalog, disc
+    dm = distance_matrix(catalog, disc)
+    return cfg, catalog, disc, dm, verify_axioms(dm)
 
 
 def _pipeline(args):
@@ -87,14 +92,13 @@ def _pipeline(args):
     epsilon leaves one class beside the 0 convention), yet would still label
     every particle.
     """
-    cfg, catalog, disc = _derive(args)
-    passed, report = axioms_satisfied(disc, catalog)
-    if not passed:
+    cfg, catalog, disc, dm, report = _derive(args)
+    if not report.passed:
         failed = ", ".join(name for name, _, ok in report.comparisons if not ok)
         raise ValueError(f"epsilon={cfg.epsilon} with min_pts={cfg.min_pts} "
                          f"violates topology axiom(s) {failed}; "
                          f"'coordgeo axioms' shows the comparisons")
-    return cfg, catalog, disc
+    return cfg, catalog, disc, dm
 
 
 @contextlib.contextmanager
@@ -130,8 +134,7 @@ def _fmt(x, nd=6):
 
 
 def cmd_table(args):
-    cfg, catalog, disc = _pipeline(args)
-    dm = distance_matrix(catalog, disc)
+    cfg, catalog, disc, dm = _pipeline(args)
     emb = mds(dm, dims=cfg.dims, seed=cfg.seed, restarts=cfg.restarts)
     tau = typicality(emb, dm.codes).tau
     rows = []
@@ -149,8 +152,7 @@ def cmd_table(args):
 
 
 def cmd_distances(args):
-    cfg, catalog, disc = _pipeline(args)
-    dm = distance_matrix(catalog, disc)
+    _, _, _, dm = _pipeline(args)
     lines = ["code," + ",".join(dm.codes)]
     for i, code in enumerate(dm.codes):
         lines.append(code + "," + ",".join(_fmt(x) for x in dm.d[i]))
@@ -159,8 +161,8 @@ def cmd_distances(args):
 
 
 def cmd_tree(args):
-    cfg, catalog, disc = _pipeline(args)
-    dendro = hierarchical_cluster(distance_matrix(catalog, disc))
+    _, _, _, dm = _pipeline(args)
+    dendro = hierarchical_cluster(dm)
     _write(args.out, dendro.newick() + "\n")
     if args.dot:
         _write(args.dot, dendro.dot() + "\n")
@@ -168,8 +170,7 @@ def cmd_tree(args):
 
 
 def cmd_embed(args):
-    cfg, catalog, disc = _pipeline(args)
-    dm = distance_matrix(catalog, disc)
+    cfg, _, _, dm = _pipeline(args)
     emb = mds(dm, dims=cfg.dims, seed=cfg.seed, restarts=cfg.restarts)
     lines = ["code," + ",".join(f"x{i + 1}" for i in range(emb.dims)) + ",stress"]
     for i, code in enumerate(dm.codes):
@@ -180,8 +181,7 @@ def cmd_embed(args):
 
 
 def cmd_graph(args):
-    cfg, catalog, disc = _pipeline(args)
-    dm = distance_matrix(catalog, disc)
+    cfg, _, _, dm = _pipeline(args)
     coords2 = mds(dm, dims=2, seed=cfg.seed, restarts=cfg.restarts).coords
     edges = sorted(delaunay_2d(coords2))
     lines = ["graph coordination_geometries {", "  layout=neato;"]
@@ -196,8 +196,7 @@ def cmd_graph(args):
 
 
 def cmd_typicality(args):
-    cfg, catalog, disc = _pipeline(args)
-    dm = distance_matrix(catalog, disc)
+    cfg, catalog, disc, dm = _pipeline(args)
     emb = mds(dm, dims=cfg.dims, seed=cfg.seed, restarts=cfg.restarts)
     tau = typicality(emb, dm.codes).tau
     rows = order_typicality_scatter(catalog, disc, tau)
@@ -209,7 +208,7 @@ def cmd_typicality(args):
 
 
 def cmd_inherent_angles(args):
-    cfg, catalog, disc = _pipeline(args)
+    cfg, _, disc, _ = _pipeline(args)
     header = f"inherent angles (epsilon={cfg.epsilon}, minPts={cfg.min_pts})"
     lines = [header, "-" * len(header), "  class  inherent  bin"]
     edges = [0.0] + [float(e) for e in disc.bin_edges] + [180.0]
@@ -227,7 +226,7 @@ def cmd_analyze(args):
     if args.summary == "-" and args.out in (None, "-"):
         raise ValueError("--summary - and the CSV (--out, default stdout) "
                          "cannot share stdout; write one of them to a file")
-    cfg, catalog, disc = _pipeline(args)
+    _, catalog, disc, _ = _pipeline(args)
     summary = []
     with _output(args.out) as out:
         out.write("frame,id,k,m,e,label,d_e\n")
@@ -270,10 +269,9 @@ def cmd_catalog(args):
 
 
 def cmd_axioms(args):
-    cfg, catalog, disc = _derive(args)
-    passed, report = axioms_satisfied(disc, catalog)
+    *_, report = _derive(args)
     _write(args.out, str(report) + "\n")
-    return 0 if passed else 1
+    return 0 if report.passed else 1
 
 
 def _add_common(p):

@@ -55,7 +55,10 @@ class Frame:
     species: list | None = None
 
     def __post_init__(self):
-        self.positions = np.asarray(self.positions, dtype=float).reshape(-1, 3)
+        self.positions = np.asarray(self.positions, dtype=float)
+        if self.positions.shape[1:] != (3,):
+            raise ValueError(f"positions must have shape (N, 3), "
+                             f"got {self.positions.shape}")
         if len(self.positions) < 1:
             raise ValueError("frame needs at least one particle")
         if not np.isfinite(self.positions).all():
@@ -120,6 +123,11 @@ def _parse_frame(path, start, comment, atoms, fmt):
         raise ValueError(f"{path}:{start + 1}: {exc}") from None
 
 
+def _check_format(fmt):
+    if fmt not in ("auto", "xyz", "extxyz"):
+        raise ValueError(f"unknown format {fmt!r}; expected auto, xyz or extxyz")
+
+
 def iter_frames(path, fmt: str = "auto"):
     """Yield the frames of an XYZ or extended-XYZ trajectory one at a time.
 
@@ -129,8 +137,7 @@ def iter_frames(path, fmt: str = "auto"):
     path:line, only when its frame is reached.  A last frame may omit its
     comment line.
     """
-    if fmt not in ("auto", "xyz", "extxyz"):
-        raise ValueError(f"unknown format {fmt!r}; expected auto, xyz or extxyz")
+    _check_format(fmt)
     found = False
     with open(path) as fh:
         lines = enumerate(fh, start=1)
@@ -164,9 +171,13 @@ def read_frames(path, fmt: str = "auto") -> list:
 
 
 def write_frames(path, frames, fmt: str = "auto") -> None:
-    """Write frames as (extended-)XYZ; a frame with a box gets a Lattice entry."""
+    """Write frames as (extended-)XYZ; a frame with a box gets a Lattice entry
+    unless fmt is "xyz", and "extxyz" refuses a frame without one."""
+    _check_format(fmt)
     out = []
-    for fr in frames:
+    for i, fr in enumerate(frames):
+        if fr.box is None and fmt == "extxyz":
+            raise ValueError(f"frame {i} has no box; extxyz needs one")
         out.append(str(fr.n))
         if fr.box is not None and fmt != "xyz":
             nums = " ".join(f"{x:.10g}" for x in fr.box.reshape(-1))

@@ -1,7 +1,8 @@
 """Topology analyses on the 22-geometry distance matrix.
 
-Builds the pairwise distance matrix, verifies the metric axioms, clusters it
-(average linkage), embeds it with stress-majorization MDS, triangulates the
+Builds the pairwise distance matrix, checks it against the metric axioms
+(verify_metric) and the paper's four topology axioms (verify_axioms), clusters
+it (average linkage), embeds it with stress-majorization MDS, triangulates the
 2-D embedding, and derives typicality and class statistics.
 """
 
@@ -22,6 +23,8 @@ __all__ = [
     "distance_matrix",
     "MetricReport",
     "verify_metric",
+    "AxiomReport",
+    "verify_axioms",
     "Dendrogram",
     "hierarchical_cluster",
     "Embedding",
@@ -105,6 +108,43 @@ def verify_metric(dm: DistanceMatrix, tol: float = 1e-9) -> MetricReport:
                         triangle_ok=triangle_ok, worst_triangle_slack=worst,
                         max_diagonal=max_diag, min_off_diagonal=min_off,
                         failures=tuple(failures))
+
+
+@dataclass(frozen=True)
+class AxiomReport:
+    passed: bool
+    comparisons: tuple  # (name, text, ok)
+
+    def __str__(self):
+        lines = [f"axioms {'satisfied' if self.passed else 'violated'}"]
+        for name, text, ok in self.comparisons:
+            lines.append(f"  [{'ok' if ok else 'FAIL'}] {name}: {text}")
+        return "\n".join(lines)
+
+
+def verify_axioms(dm: DistanceMatrix) -> AxiomReport:
+    """Check the four topology axioms on the distance matrix.
+
+    1a/1b: FCC and HCP are each closer to one another than to BCC.
+    2a: CSA and BSA are the two nearest geometries to SA.
+    2b: CSP and BSP are the two nearest geometries to HDR.
+    A tie in distance is broken by geometry code.
+    """
+    dist = dm.value
+    comparisons = []
+    for name, a, b in (("1a", "FCC", "HCP"), ("1b", "HCP", "FCC")):
+        near, far = dist(a, b), dist(a, "BCC")
+        comparisons.append((name, f"d({a},{b})={near:.4f} < "
+                                  f"d({a},BCC)={far:.4f}", near < far))
+    for name, target, pair in (("2a", "SA", {"CSA", "BSA"}),
+                               ("2b", "HDR", {"CSP", "BSP"})):
+        (d1, c1), (d2, c2) = sorted((dist(target, c), c)
+                                    for c in dm.codes if c != target)[:2]
+        comparisons.append((name, f"two nearest to {target}: "
+                                  f"{c1}={d1:.4f}, {c2}={d2:.4f}",
+                            {c1, c2} == pair))
+    return AxiomReport(passed=all(ok for _, _, ok in comparisons),
+                       comparisons=tuple(comparisons))
 
 
 @dataclass(frozen=True)

@@ -252,24 +252,23 @@ def test_afflicted_families(catalog, discretizer):
         assert p.f.max() > 1, code
 
 
-def test_axioms_at_published_epsilon(catalog, discretizer):
-    ok, report = cg.axioms_satisfied(discretizer, catalog)
-    assert ok, str(report)
+def test_axioms_at_published_epsilon(dmatrix):
+    report = cg.verify_axioms(dmatrix)
+    assert report.passed, str(report)
 
 
 def test_axioms_fail_just_above(catalog):
     d = cg.derive_discretizer(cg.collect_pool(catalog), epsilon=2.86)
-    ok, report = cg.axioms_satisfied(d, catalog)
-    assert not ok, str(report)
+    report = cg.verify_axioms(cg.distance_matrix(catalog, d))
+    assert not report.passed, str(report)
 
 
 def test_axioms_tiny_epsilon_runs(catalog):
     # near-degenerate bins: every distinct ideal value becomes its own class;
     # exactly-shared values still coincide, so the axioms hold here too
     d = cg.derive_discretizer(cg.collect_pool(catalog), epsilon=0.01)
-    ok, report = cg.axioms_satisfied(d, catalog)
-    assert isinstance(ok, bool)
-    assert ok is True
+    report = cg.verify_axioms(cg.distance_matrix(catalog, d))
+    assert report.passed is True
     assert len(report.comparisons) == 4
 
 

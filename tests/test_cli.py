@@ -351,6 +351,14 @@ def test_axioms_reports_a_violating_epsilon(capsys):
     printed = capsys.readouterr().out
     assert printed.startswith("axioms violated")
     assert "[FAIL] 2a:" in printed
+    # just above the published epsilon, 2a fails on an exact tie
+    assert _run(["axioms", "--epsilon", "2.86"]) == 1
+    assert capsys.readouterr().out == (
+        "axioms violated\n"
+        "  [ok] 1a: d(FCC,HCP)=0.5850 < d(FCC,BCC)=0.7683\n"
+        "  [ok] 1b: d(HCP,FCC)=0.5850 < d(HCP,BCC)=0.8167\n"
+        "  [FAIL] 2a: two nearest to SA: CSA=0.5557, TTP=0.5557\n"
+        "  [ok] 2b: two nearest to HDR: BSP=0.3947, CSP=0.5557\n")
 
 
 def test_axioms_out_file(tmp_path, capsys):
@@ -401,6 +409,17 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert err.startswith(f"error: {cfgfile}: unknown config key 'epsilson'")
     for key in ("epsilon", "min_pts", "dims", "seed", "restarts"):
         assert key in err
+    assert not out.exists()
+
+
+def test_negative_seed_names_its_key(tmp_path, capsys):
+    out = tmp_path / "embed.csv"
+    assert _run(["embed", "--seed", "-1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: seed must be non-negative\n"
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("seed = -1\n")
+    assert _run(["embed", "--config", str(cfgfile), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: seed must be non-negative\n"
     assert not out.exists()
 
 

@@ -43,6 +43,23 @@ def test_extxyz_roundtrip(tmp_path):
     assert back[0].species == fr.species
 
 
+def test_write_format_is_checked(tmp_path):
+    p = tmp_path / "out.xyz"
+    with pytest.raises(ValueError, match="unknown format 'bogus'"):
+        write_frames(p, [make_lattice("fcc", 1)], fmt="bogus")
+    assert not p.exists()
+
+
+def test_write_extxyz_refuses_a_boxless_frame(tmp_path):
+    p = tmp_path / "out.extxyz"
+    frames = [make_lattice("fcc", 1), Frame(positions=np.zeros((1, 3)))]
+    with pytest.raises(ValueError, match="frame 1 has no box"):
+        write_frames(p, frames, fmt="extxyz")
+    assert not p.exists()
+    write_frames(p, frames[:1], fmt="extxyz")
+    assert read_frames(p, fmt="extxyz")[0].box is not None
+
+
 def test_read_malformed_header(tmp_path):
     p = tmp_path / "bad.xyz"
     p.write_text("nonsense\nmore\n")
@@ -384,6 +401,12 @@ def test_frame_validation():
         Frame(positions=np.zeros((2, 3)), box=np.zeros((3, 3)))
     with pytest.raises(ValueError):
         Frame(positions=np.zeros((2, 3)), species=["A"])
+
+
+def test_frame_positions_must_be_n_by_3():
+    for bad in (np.arange(12.0).reshape(6, 2), np.zeros(3), np.zeros((2, 3, 1))):
+        with pytest.raises(ValueError, match=r"shape \(N, 3\)"):
+            Frame(positions=bad)
 
 
 def test_hcp_lattice_geometry():

@@ -21,9 +21,16 @@ def _distance_matrix_loop(catalog, disc):
     return d
 
 
-def test_distance_matrix_basics(dmatrix, catalog, discretizer):
-    assert dmatrix.d.tobytes() == _distance_matrix_loop(catalog,
-                                                        discretizer).tobytes()
+@pytest.mark.parametrize("epsilon", [0.01, 1.0, 2.85, 2.86, 5.95])
+def test_distance_matrix_equals_the_scalar_loop(catalog, epsilon):
+    # bit for bit: verify_axioms ranks these values, and at epsilon=2.86
+    # two of them tie exactly (CSA and TTP, both 0.5557 from SA)
+    disc = cg.derive_discretizer(cg.collect_pool(catalog), epsilon=epsilon)
+    dm = cg.distance_matrix(catalog, disc)
+    assert dm.d.tobytes() == _distance_matrix_loop(catalog, disc).tobytes()
+
+
+def test_distance_matrix_basics(dmatrix):
     assert np.allclose(np.diag(dmatrix.d), 0.0)
     assert np.allclose(dmatrix.d, dmatrix.d.T)
     assert dmatrix.value("FCC", "HCP") == pytest.approx(np.log2(1.5), abs=1e-12)
