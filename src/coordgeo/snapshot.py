@@ -261,6 +261,14 @@ def auto_cutoff(frame: Frame):
     body-centred cubic crystal, for instance) keep a genuine RDF minimum
     between those shells; pass an explicit cutoff to treat them as one
     coordination shell.
+
+    The bin width is rmax / RDF_BINS, so it grows with the box, and a large
+    frame gets a coarse cutoff.  FCC with cell edge 1 and Gaussian noise of
+    0.03 per coordinate (make_lattice("fcc", cells, noise=0.03, seed=1))
+    gets r_cut 0.856 at N = 10 976 (bins 0.035 wide) but 0.947 at
+    N = 48 668 (bins 0.057 wide), where 47 % of the particles count
+    second-shell neighbours.  Pass an explicit cutoff for frames of tens of
+    thousands of particles.
     """
     pos, box = frame.positions, frame.box
     if box is not None:

@@ -18,6 +18,10 @@ from .coefficients import descriptor, descriptor_arrays, distances, e_one
 from .hull import convex_hull
 from .shape import moment_per_neighbour, sphericity
 
+# delaunay_2d refuses, as collinear, a point set whose spread across its
+# principal axis is at most this fraction of its spread along it
+COLLINEAR_RATIO = 1e-2
+
 __all__ = [
     "DistanceMatrix",
     "distance_matrix",
@@ -268,8 +272,12 @@ def _smacof_stack(d, x0, max_iter, rtol):
 
     Every start stops on its own test: stress fell by less than rtol relative
     to the previous iteration.  Each iteration's embedding distances serve both
-    its stress and the next B matrix.  Per start, the arithmetic is the same
-    as a run on that start alone, so results do not depend on the stack.
+    its stress and the next B matrix.  The two reductions over a short axis,
+    the squared coordinate differences of each pair and the rows of B, are
+    BLAS dot products with a vector of ones: one matrix-vector product per
+    start, in a fixed order for any stack height.  So a start in a stack ends
+    bit for bit as it does alone; the rounding differs from numpy's ``sum``
+    in the last bits, which no artifact shows at its 6 decimals.
     Returns one (coords, stress trace array, converged) per start.
     """
     n = len(d)
@@ -277,14 +285,15 @@ def _smacof_stack(d, x0, max_iter, rtol):
     diag = np.arange(n)
     d_up, d_lo = d[iu, ju], d[ju, iu]
     den = (d_up ** 2).sum()
+    ones_dims, ones_n = np.ones(x0.shape[2]), np.ones(n)
 
     def upper_distances(x):
-        # np.take keeps the (R, pairs, dims) result C-ordered, so every sum
-        # runs along one contiguous row, in the same order for any R
+        # np.take keeps the (R, pairs, dims) result C-ordered; @ ones sums each
+        # contiguous row by one BLAS product per start, the same for any R
         diff = np.take(x, iu, axis=1)
         diff -= np.take(x, ju, axis=1)
         diff *= diff
-        return np.sqrt(diff.sum(-1))
+        return np.sqrt(diff @ ones_dims)
 
     def stress(dist):
         # Kruskal stress-1 over the upper triangle, one value per start
@@ -313,7 +322,7 @@ def _smacof_stack(d, x0, max_iter, rtol):
         b[:, iu, ju] = np.where(pos, -d_up / dist, 0.0)
         b[:, ju, iu] = np.where(pos, -d_lo / dist, 0.0)
         b[:, diag, diag] = 0.0
-        b[:, diag, diag] = -b.sum(axis=2)
+        b[:, diag, diag] = -(b @ ones_n)
         x = (b @ x) / n
         dist = upper_distances(x)
         s_new = stress(dist)
@@ -362,8 +371,11 @@ def mds(dm, dims: int = 8, seed: int = 0, restarts: int = 20,
 def delaunay_2d(points) -> set:
     """Delaunay graph of 2-D points as an undirected edge set: the lower convex
     hull of the points lifted onto z = x^2 + y^2 (K. Q. Brown, 1979).  Raises
-    ValueError on coincident points and on points whose spread across their
-    principal axis is under 1e-6 of that along it."""
+    ValueError on coincident points and, as collinear, on points whose spread
+    across their principal axis is at most COLLINEAR_RATIO (1e-2) of that
+    along it.  Thinner sets defeat the hull's tolerance: in rotated random
+    sets of 22 points, ratios up to 2e-3 gave a hull that was not watertight
+    or a triangle whose circumcircle holds another point."""
     tris = _delaunay_triangles(points)
     return set(map(tuple, np.sort(tris[:, [0, 1, 1, 2, 0, 2]].reshape(-1, 2)).tolist()))
 
@@ -374,7 +386,7 @@ def _delaunay_triangles(points):
         raise ValueError("need at least three 2-D points")
     pts = pts - pts.mean(axis=0)
     spread = np.linalg.svd(pts, compute_uv=False)
-    if spread[1] <= 1e-6 * spread[0]:
+    if spread[1] <= COLLINEAR_RATIO * spread[0]:
         raise ValueError("points are collinear")
     # a unit-size copy makes the hull tolerance relative to the set; the apex
     # above it keeps cocircular sets 3-D and leaves the lower hull as it is

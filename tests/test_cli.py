@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,9 @@ import coordgeo as cg
 from coordgeo import kernels
 from coordgeo.cli import main
 from coordgeo.snapshot import Frame, make_lattice, write_frames
+
+# sha256 of each artifact of the benchmark workloads at seed 0
+DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
 
 
 def _run(args):
@@ -90,6 +95,23 @@ def test_typicality_csv(tmp_path):
     assert _run(["typicality", "--out", str(out), "--restarts", "5"]) == 0
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 23
+
+
+def test_catalog_artifacts_match_the_recorded_digests(tmp_path, monkeypatch):
+    # the six catalog commands at seed 0 with the default 20 restarts write
+    # the bytes recorded for the spacemap benchmark workload
+    recorded = json.loads(DIGESTS.read_text())["spacemap"]
+    monkeypatch.chdir(tmp_path)
+    for argv in (["table", "--out", "table.csv"],
+                 ["distances", "--out", "distances.csv"],
+                 ["tree", "--out", "tree.nwk", "--dot", "tree.dot"],
+                 ["embed", "--out", "embed.csv"],
+                 ["graph", "--out", "graph.dot"],
+                 ["typicality", "--out", "typicality.csv"]):
+        assert _run(argv + ["--seed", "0"]) == 0
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in tmp_path.iterdir()}
+    assert got == recorded
 
 
 def test_inherent_angles_json(tmp_path, monkeypatch, capsys):

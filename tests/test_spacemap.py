@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -221,22 +223,30 @@ def test_mds_matches_loop_of_single_restarts(dmatrix, embedding):
 
 def _smacof_loop(d, x0, max_iter, rtol):
     # one start at a time with full distance matrices: the reference that
-    # the stacked kernel must reproduce bit for bit
-    n = len(d)
+    # the stacked kernel must reproduce bit for bit.  Both short-axis sums
+    # are products with a vector of ones, as in the kernel; the pair
+    # distances come from one (pairs, dims) product too, because the BLAS
+    # rounding of a row can depend on how many rows the matrix has
+    n, dims = x0.shape
     iu = np.triu_indices(n, 1)
 
+    def embedded(x):
+        d_emb = np.zeros((n, n))
+        d_emb[iu] = np.sqrt(((x[iu[0]] - x[iu[1]]) ** 2) @ np.ones(dims))
+        return d_emb + d_emb.T
+
     def stress1(x):
-        d_emb = np.sqrt(((x[:, None, :] - x[None, :, :]) ** 2).sum(-1))
+        d_emb = embedded(x)
         return float(np.sqrt(((d[iu] - d_emb[iu]) ** 2).sum() / (d[iu] ** 2).sum()))
 
     x = x0.copy()
     trace = [stress1(x)]
     for _ in range(max_iter):
-        d_emb = np.sqrt(((x[:, None, :] - x[None, :, :]) ** 2).sum(-1))
+        d_emb = embedded(x)
         np.fill_diagonal(d_emb, 1.0)
         b = np.where(d_emb > 0, -d / d_emb, 0.0)
         np.fill_diagonal(b, 0.0)
-        np.fill_diagonal(b, -b.sum(axis=1))
+        np.fill_diagonal(b, -(b @ np.ones(n)))
         x = (b @ x) / n
         trace.append(stress1(x))
         if trace[-2] - trace[-1] < rtol * max(trace[-2], 1e-300):
@@ -244,17 +254,20 @@ def _smacof_loop(d, x0, max_iter, rtol):
     return x, trace, False
 
 
-def test_smacof_stack_rows_match_reference_loop(dmatrix):
+@pytest.mark.parametrize("dims", [2, 3, 8])
+def test_smacof_stack_rows_match_reference_loop(dmatrix, dims):
     # starts that stop at different iterations, or not at all, and a
-    # Fortran-ordered start (as _classical_mds returns)
+    # Fortran-ordered start (as _classical_mds returns); the rounding of a
+    # product with ones depends on its length, so over several dims
+    max_iter = {2: 200, 3: 250, 8: 1000}[dims]
     d = dmatrix.d
     rng = np.random.default_rng(1)
-    starts = [_classical_mds(d, 3)] + [rng.normal(size=(22, 3)) for _ in range(5)]
-    stacked = _smacof_stack(d, np.stack(starts), max_iter=250, rtol=1e-10)
+    starts = [_classical_mds(d, dims)] + [rng.normal(size=(22, dims)) for _ in range(5)]
+    stacked = _smacof_stack(d, np.stack(starts), max_iter=max_iter, rtol=1e-10)
     assert {conv for _, _, conv in stacked} == {True, False}
     for x0, (x, trace, conv) in zip(starts, stacked):
-        for x1, trace1, conv1 in (_smacof(d, x0, max_iter=250, rtol=1e-10),
-                                  _smacof_loop(d, x0, max_iter=250, rtol=1e-10)):
+        for x1, trace1, conv1 in (_smacof(d, x0, max_iter=max_iter, rtol=1e-10),
+                                  _smacof_loop(d, x0, max_iter=max_iter, rtol=1e-10)):
             assert np.array_equal(x, x1)
             assert trace.tolist() == trace1
             assert conv == conv1
@@ -292,8 +305,11 @@ def test_delaunay_near_collinear_raises():
 
 
 def test_delaunay_thin_quadrilateral():
-    edges = delaunay_2d(np.array([[0.0, 0.0], [1.0, 1e-4], [2.0, 0.0], [3.0, 1e-4]]))
+    # spread ratio 0.4 h: 2e-2 is triangulated, 4e-5 is under the bound
+    edges = delaunay_2d(np.array([[0.0, 0.0], [1.0, 0.05], [2.0, 0.0], [3.0, 0.05]]))
     assert edges == {(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)}
+    with pytest.raises(ValueError, match="collinear"):
+        delaunay_2d(np.array([[0.0, 0.0], [1.0, 1e-4], [2.0, 0.0], [3.0, 1e-4]]))
 
 
 def test_delaunay_coincident_raises():
@@ -306,21 +322,25 @@ def test_delaunay_ignores_translation_and_scale():
     assert delaunay_2d(1e-7 * pts) == delaunay_2d(pts) == delaunay_2d(pts + 1e6)
 
 
-def _circumcircle_empty(pts, tris):
-    for i, j, k in tris:
-        a, b, c = pts[i], pts[j], pts[k]
-        d = 2.0 * (a[0] * (b[1] - c[1]) + b[0] * (c[1] - a[1])
-                   + c[0] * (a[1] - b[1]))
-        assert abs(d) > 1e-12
-        ux = ((a @ a) * (b[1] - c[1]) + (b @ b) * (c[1] - a[1])
-              + (c @ c) * (a[1] - b[1])) / d
-        uy = ((a @ a) * (c[0] - b[0]) + (b @ b) * (a[0] - c[0])
-              + (c @ c) * (b[0] - a[0])) / d
-        r2 = (a[0] - ux) ** 2 + (a[1] - uy) ** 2
-        inside = ((pts[:, 0] - ux) ** 2 + (pts[:, 1] - uy) ** 2
-                  < r2 * (1.0 - 1e-9))
-        inside[[i, j, k]] = False
-        assert not inside.any()
+def _circumcircles_exactly_empty(pts, tris):
+    # no point strictly inside any triangle's circumcircle, by the incircle
+    # determinant over the exact rational values of the float coordinates,
+    # brought to integers over their common power-of-two denominator
+    q = [[Fraction(v) for v in p] for p in pts.tolist()]
+    den = max(v.denominator for p in q for v in p)
+    q = [[int(v * den) for v in p] for p in q]
+    for t in tris.tolist():
+        a, b, c = (q[i] for i in t)
+        orient = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+        assert orient != 0
+        for k, p in enumerate(q):
+            if k in t:
+                continue
+            (ax, ay), (bx, by), (cx, cy) = ((v[0] - p[0], v[1] - p[1]) for v in (a, b, c))
+            det = ((ax * ax + ay * ay) * (bx * cy - by * cx)
+                   - (bx * bx + by * by) * (ax * cy - ay * cx)
+                   + (cx * cx + cy * cy) * (ax * by - ay * bx))
+            assert det * orient <= 0
 
 
 def test_delaunay_empty_circumcircle():
@@ -329,7 +349,30 @@ def test_delaunay_empty_circumcircle():
         pts = rng.uniform(size=(18, 2))
         tris = _delaunay_triangles(pts)
         assert len(tris) > 0
-        _circumcircle_empty(pts, tris)
+        _circumcircles_exactly_empty(pts, tris)
+
+
+def test_delaunay_thin_sets_are_exact_or_refused():
+    # rotated, scaled and shifted random sets whose width spans 1e-8 to 1
+    # of their length: each is refused as collinear or exactly Delaunay
+    rng = np.random.default_rng(0)
+    outcomes = set()
+    for _ in range(120):
+        n = int(rng.integers(3, 23))
+        pts = np.column_stack([rng.uniform(size=n),
+                               rng.uniform(size=n) * 10 ** rng.uniform(-8, 0)])
+        turn = rng.uniform(0, 2 * np.pi)
+        rot = np.array([[np.cos(turn), -np.sin(turn)], [np.sin(turn), np.cos(turn)]])
+        pts = pts @ rot.T * 10 ** rng.uniform(-3, 3) + rng.uniform(-5, 5, size=2)
+        try:
+            tris = _delaunay_triangles(pts)
+        except ValueError as err:
+            assert "collinear" in str(err)
+            outcomes.add("refused")
+            continue
+        _circumcircles_exactly_empty(pts, tris)
+        outcomes.add("triangulated")
+    assert outcomes == {"refused", "triangulated"}
 
 
 def _hull_vertex_count(pts):
@@ -354,7 +397,7 @@ def test_delaunay_complete_triangulation():
     rng = np.random.default_rng(1)
     for _ in range(90):
         pts = rng.uniform(size=(22, 2))
-        _circumcircle_empty(pts, _delaunay_triangles(pts))
+        _circumcircles_exactly_empty(pts, _delaunay_triangles(pts))
         assert len(delaunay_2d(pts)) == 3 * len(pts) - 3 - _hull_vertex_count(pts)
 
 
