@@ -15,6 +15,7 @@ import numpy as np
 from .angles import collect_pool, derive_discretizer
 from .catalog import build_catalog, catalog_to_json
 from .coefficients import descriptor, e_one
+from .kernels import row_blocks
 from .shape import moment_per_neighbour, sphericity
 from .snapshot import analyze_frame, auto_cutoff, iter_frames, neighbours_cutoff
 from .spacemap import (delaunay_2d, distance_matrix, hierarchical_cluster,
@@ -240,11 +241,13 @@ def cmd_analyze(args):
                                      f"explicitly with --rcut") from exc
             nl = neighbours_cutoff(frame, rcut, pairs)
             e, kk, mm, labels, dists = analyze_frame(frame, nl, catalog, disc)
-            out.write("\n".join([
-                f"{fi},{i},{k},{m},{ei:.6f},{lab},{di:.6f}"
-                for i, (k, m, ei, lab, di) in enumerate(zip(
-                    kk.tolist(), mm.tolist(), e.tolist(), labels,
-                    dists.tolist()))]) + "\n")
+            for lo, hi in row_blocks(nl.starts):
+                out.write("".join([
+                    f"{fi},{i},{k},{m},{ei:.6f},{lab},{di:.6f}\n"
+                    for i, k, m, ei, lab, di in zip(
+                        range(lo, hi), kk[lo:hi].tolist(), mm[lo:hi].tolist(),
+                        e[lo:hi].tolist(), labels[lo:hi],
+                        dists[lo:hi].tolist())]))
             codes, counts = np.unique(labels, return_counts=True)
             finite = e[~np.isnan(e)]
             summary.append({

@@ -8,14 +8,18 @@ snapshot.auto_cutoff bins the distances of the pairs within two mean spacings
 and keeps those within the cutoff it picks; pairs_csr mirrors pairs into CSR
 rows, for neighbour_csr's search and for the pairs auto_cutoff kept alike.
 The O(N^2) brute force is only the test reference.  The angle
-profile is batched by coordination number k: one minimum-image step for all
-bond vectors, then one stacked Gram matrix per k.  The bins that hold a gap
-above VALUE_RESOLUTION are described by their gaps and cluster sizes and
-merged all at once per frame, one call per gap count, each round removing one
+profile runs over row_blocks, blocks of consecutive CSR rows, and within a
+block it is batched by coordination number k: one minimum-image step for the
+block's bond vectors, then stacked Gram matrices per k.  The bins that hold a
+gap above VALUE_RESOLUTION are described by their gaps and cluster sizes and
+merged all at once per block, one call per gap count, each round removing one
 gap from every row still merging.  A particle's profile is the catalog's
 descriptor format, (k, per-class distinct-angle counts), so classification
 takes d_E from coefficients.distances, the function that builds the distance
-matrix.
+matrix.  One constant, _BUDGET, bounds the temporaries of every step: the
+candidates of a pair-search chunk, the angles of a profile chunk and the rows
+plus bonds of a row block.  So a frame's working set is its CSR, its
+per-particle results and one block, whatever N.
 """
 
 import numpy as np
@@ -30,8 +34,10 @@ HAVE_NUMBA = False  # constant: perfbench/worker.py reads it to record the backe
 # its value below the smallest two-member splitting separation (4.66 degrees)
 VALUE_RESOLUTION = 1.2
 
-_MAX_CELLS = 64          # per axis; larger cells stay correct, only slower
-_PAIR_BUDGET = 1_000_000  # candidate pairs, or bond angles, held in memory at once
+_MAX_CELLS = 64  # per axis; larger cells stay correct, only slower
+# the one bound on a frame's temporaries: candidate pairs of a pair-search
+# chunk, bond angles of a profile chunk, or rows plus bonds of a row block
+_BUDGET = 1 << 16
 
 
 def _dot3(u, v):
@@ -80,7 +86,7 @@ def pairs_within(pos, box, rcut):
     cell; a particle's candidates are the higher-indexed members of the
     stencil cells around its own.  A periodic axis with fewer than 3 cells
     visits each of its cells once (offsets -1, 0, 1 would wrap onto one cell
-    twice).  A chunk holds the owners of about _PAIR_BUDGET candidates.
+    twice).  A chunk holds the owners of about _BUDGET candidates.
     """
     pos = np.ascontiguousarray(pos, dtype=np.float64)
     n = len(pos)
@@ -106,7 +112,7 @@ def pairs_within(pos, box, rcut):
     order = np.argsort(cid, kind="stable")
     members = np.bincount(cid, minlength=int(ncell.prod()))
     first = np.cumsum(members) - members
-    chunk = max(1, _PAIR_BUDGET // (len(stencil) * int(members.max())))
+    chunk = max(1, _BUDGET // (len(stencil) * int(members.max())))
     for lo in range(0, n, chunk):
         hi = min(n, lo + chunk)
         # the stencil cells of each particle and the candidates each holds
@@ -161,25 +167,41 @@ def _perpendicular_widths(box):
     return w
 
 
-def profile_particles(pos, box, starts, idx, edges):
-    """Bond-angle profile of every particle: (k, per-class angle counts).
+def row_blocks(starts):
+    """(lo, hi) ranges of consecutive CSR rows covering every row in order,
+    each holding at most _BUDGET rows plus bonds (a longer row alone)."""
+    n = len(starts) - 1
+    cost = np.asarray(starts) + np.arange(n + 1)  # rows plus bonds before row i
+    lo = 0
+    while lo < n:
+        hi = int(np.searchsorted(cost, cost[lo] + _BUDGET, side="right")) - 1
+        hi = max(hi, lo + 1)
+        yield lo, hi
+        lo = hi
 
-    Batched by coordination number: all bond vectors are taken in one
+
+def profile_particles(pos, box, starts, idx, edges, first=0):
+    """Bond-angle profile of CSR rows: (k, per-class angle counts) per row.
+
+    starts and idx are the rows of particles first, first + 1, ... with
+    starts[0] == 0: a frame's whole CSR, or one of its row_blocks rebased.
+    Batched by coordination number: the rows' bond vectors are taken in one
     minimum-image step, and for each k >= 2 the rows of that k are stacked
     into (R, k, 3) for one batched Gram matrix, arccos, row sort and binning,
-    in row chunks of about _PAIR_BUDGET angles.  Every occupied bin counts one
+    in row chunks of about _BUDGET angles.  Every occupied bin counts one
     distinct angle.  A bin whose sorted values hold a gap above
     VALUE_RESOLUTION is a gapped run: _gapped_runs describes each by its gaps
-    and cluster sizes, and _merge_runs merges the frame's gapped runs at once.
-    m is the row sum of the counts.  A zero-length bond (two coincident
-    particles) raises ValueError naming the lowest such particle.
+    and cluster sizes, and _merge_runs merges the rows' gapped runs at once.
+    m is the row sum of the counts.  A row's result depends on that row
+    alone.  A zero-length bond (two coincident particles) raises ValueError
+    naming the lowest such particle.
     """
     pos = np.ascontiguousarray(pos, dtype=np.float64)
     edges = np.ascontiguousarray(edges, dtype=np.float64)
-    n = len(pos)
     kk = np.diff(starts).astype(np.int64)
+    n = len(kk)
     fcounts = np.zeros((n, len(edges) + 1), dtype=np.int64)
-    owners = np.repeat(np.arange(n), kk)
+    owners = np.repeat(np.arange(first, first + n), kk)
     vec = pos[idx] - pos[owners]
     if box is not None:
         f = vec @ np.linalg.inv(box)
@@ -198,7 +220,7 @@ def profile_particles(pos, box, starts, idx, edges):
     for k in np.unique(kk[kk >= 2]).tolist():
         iu, ju = np.triu_indices(k, 1)
         rows = np.flatnonzero(kk == k)
-        chunk = max(1, _PAIR_BUDGET // len(iu))
+        chunk = max(1, _BUDGET // len(iu))
         for lo in range(0, len(rows), chunk):
             r = rows[lo:lo + chunk]
             v = vec[starts[r][:, None] + np.arange(k)]

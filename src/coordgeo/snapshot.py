@@ -1,25 +1,31 @@
 """Particle snapshots: file I/O, neighbour search and per-particle structure.
 
 Trajectories are streamed: iter_frames yields one frame at a time from the
-open file, so memory holds one frame whatever the file length.
-Neighbourhoods come from a cutoff search (kernels.neighbour_csr: a numpy cell
-list for every box, minimum image under a periodic box) at a given cutoff, or
-at the first RDF minimum.  auto_cutoff bins the pairs the same cell list finds
-within two mean spacings and returns those within the cutoff it picks, so
-neighbours_cutoff builds that frame's lists without a second search; only a
-frame whose minimum lies beyond that reach is binned out to half the box.  Each
-particle's bond angles are discretized with the catalog discretizer into the
-catalog's descriptor format: k and the per-class counts f of distinct
-measured angles, with m = f.sum().  The per-particle coefficient uses k and
-m, and classification picks the nearest catalog geometry under
-coefficients.distances, the d_E that builds the distance matrix.
-analyze_frame, the one per-frame function, gives both from one profiling
-pass.  Coincident particles raise ValueError.
+open file, so memory holds one frame whatever the file length.  A frame's
+coordinates are read by numpy's C parser, and by a line loop only to name
+the line it refuses.  Neighbourhoods come from a cutoff search
+(kernels.neighbour_csr: a numpy cell list for every box, minimum image under
+a periodic box) at a given cutoff, or at the first RDF minimum.  auto_cutoff
+bins the pairs the same cell list finds within two mean spacings, in bins of
+a fixed width in spacings on a large frame, and returns those within the
+cutoff it picks, so neighbours_cutoff builds that frame's lists without a
+second search; only a frame whose minimum lies beyond that reach is binned
+out to half the box.  Each particle's bond angles are discretized with the
+catalog discretizer into the catalog's descriptor format: k and the
+per-class counts f of distinct measured angles, with m = f.sum().  The
+per-particle coefficient uses k and m, and classification picks the nearest
+catalog geometry under coefficients.distances, the d_E that builds the
+distance matrix.  analyze_frame, the one per-frame function, gives both from
+one profiling pass over blocks of rows (kernels.row_blocks), so that memory
+holds one frame's neighbour lists and per-particle results plus one block of
+fixed size, not every bond of the frame at once.  Coincident particles raise
+ValueError.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,7 +36,8 @@ from .angles import Discretizer
 from .catalog import Catalog
 from .coefficients import descriptor_arrays
 
-RDF_BINS = 200  # auto_cutoff's histogram bins
+RDF_BINS = 200  # auto_cutoff's histogram bins over RDF_SPAN spacings or less
+RDF_SPAN = 10    # mean particle spacings that RDF_BINS bins cover at most
 RDF_CAP = 2.0    # auto_cutoff's first pair search, in mean particle spacings
 
 __all__ = [
@@ -96,9 +103,19 @@ def _parse_extxyz_comment(comment):
     return np.array(nums).reshape(3, 3)
 
 
-def _parse_frame(path, start, comment, atoms, fmt):
-    """Frame whose atom count is on line `start`; comment is None if omitted."""
-    first = start + 1 if comment is None else start + 2
+def _parse_atoms(path, first, atoms):
+    """(species, positions) of atom lines, the first of them line `first`.
+
+    numpy's C parser reads the coordinates; on lines it refuses or skips (a
+    blank one), the line loop reads them again with float(), which accepts
+    more (1_0, for instance) and names the first bad line as path:line.
+    """
+    try:
+        pos = np.loadtxt(atoms, usecols=(1, 2, 3), comments=None, ndmin=2)
+    except ValueError:
+        pos = None
+    if pos is not None and len(pos) == len(atoms):
+        return [line.split(None, 1)[0] for line in atoms], pos
     species, pos = [], []
     for j, record in enumerate(atoms):
         parts = record.split()
@@ -109,7 +126,13 @@ def _parse_frame(path, start, comment, atoms, fmt):
         except ValueError as exc:
             raise ValueError(f"{path}:{first + j}: {exc}") from None
         species.append(parts[0])
-    pos = np.array(pos)
+    return species, np.array(pos)
+
+
+def _parse_frame(path, start, comment, atoms, fmt):
+    """Frame whose atom count is on line `start`; comment is None if omitted."""
+    first = start + 1 if comment is None else start + 2
+    species, pos = _parse_atoms(path, first, atoms)
     bad = ~np.isfinite(pos).all(axis=1)
     if bad.any():
         raise ValueError(f"{path}:{first + int(np.argmax(bad))}: "
@@ -245,30 +268,26 @@ def auto_cutoff(frame: Frame):
     within r_cut, each pair once, for neighbours_cutoff(frame, r_cut, pairs),
     or None when the cutoff came from the full search.
 
-    The RDF has RDF_BINS bins out to rmax, half the box width (half the
-    diagonal of an open frame).  It is filled first from the pairs within
-    RDF_CAP mean spacings, (V/N)^(1/3) with V the box volume or the
-    bounding-box volume of an open frame, found by the cell list
-    kernels.pairs_within; only the bins below that reach are read.  When
-    the reach covers rmax, leaves fewer than three complete smoothed bins
-    (a flat open frame has V = 0), or holds no minimum after the peak, all
-    pairs out to rmax are binned instead.  The capped answer differs from
-    the full one only on a frame whose smoothed g(r) has its global maximum
-    beyond the bins read, that is near or beyond the reach; the first peak
-    of a dense liquid or crystal lies well inside it.
+    The RDF runs out to rmax, half the box width (half the diagonal of an
+    open frame), in bins of rmax / RDF_BINS, or of RDF_SPAN / RDF_BINS mean
+    spacings when rmax spans more than RDF_SPAN of them, so a large frame
+    gets bins as fine as a small one.  The mean spacing is (V/N)^(1/3), with
+    V the box volume or the bounding-box volume of an open frame.  There are
+    at most as many bins as particles, a bound that only a very flat or
+    elongated frame reaches.  The RDF is filled first from the pairs within
+    RDF_CAP mean spacings, found by the cell list kernels.pairs_within; only
+    the bins below that reach are read.  When the reach covers rmax, leaves
+    fewer than three complete smoothed bins (a flat open frame has V = 0), or
+    holds no minimum after the peak, all pairs out to rmax are binned
+    instead.  The capped answer differs from the full one only on a frame
+    whose smoothed g(r) has its global maximum beyond the bins read, that is
+    near or beyond the reach; the first peak of a dense liquid or crystal
+    lies well inside it.
 
     Structures whose first two shells nearly coincide (the 8+6 split of a
     body-centred cubic crystal, for instance) keep a genuine RDF minimum
     between those shells; pass an explicit cutoff to treat them as one
     coordination shell.
-
-    The bin width is rmax / RDF_BINS, so it grows with the box, and a large
-    frame gets a coarse cutoff.  FCC with cell edge 1 and Gaussian noise of
-    0.03 per coordinate (make_lattice("fcc", cells, noise=0.03, seed=1))
-    gets r_cut 0.856 at N = 10 976 (bins 0.035 wide) but 0.947 at
-    N = 48 668 (bins 0.057 wide), where 47 % of the particles count
-    second-shell neighbours.  Pass an explicit cutoff for frames of tens of
-    thousands of particles.
     """
     pos, box = frame.positions, frame.box
     if box is not None:
@@ -278,31 +297,37 @@ def auto_cutoff(frame: Frame):
         span = pos.max(axis=0) - pos.min(axis=0)
         rmax = max(float(np.linalg.norm(span)) / 2.0, 1e-9)
         volume = float(np.prod(span))
-    reach = RDF_CAP * (volume / frame.n) ** (1.0 / 3.0)
-    return (_rdf_minimum(pos, box, rmax, min(reach, rmax))
-            or _rdf_minimum(pos, box, rmax, rmax))
+    spacing = (volume / frame.n) ** (1.0 / 3.0)
+    nbins = RDF_BINS
+    if rmax > RDF_SPAN * spacing > 0.0:
+        nbins = min(math.ceil(RDF_BINS * rmax / (RDF_SPAN * spacing)),
+                    max(RDF_BINS, frame.n))
+    reach = RDF_CAP * spacing
+    return (_rdf_minimum(pos, box, rmax, nbins, min(reach, rmax))
+            or _rdf_minimum(pos, box, rmax, nbins, rmax))
 
 
-def _rdf_minimum(pos, box, rmax, reach):
-    """auto_cutoff's (r_cut, pairs), binning the pairs within reach <= rmax.
+def _rdf_minimum(pos, box, rmax, nbins, reach):
+    """auto_cutoff's (r_cut, pairs), binning the pairs within reach <= rmax
+    into nbins bins out to rmax.
 
     Below rmax, the smoothed g(r) is read only where its 5-bin window lies
     in bins wholly below reach: the peak is taken among those bins, and a
     minimum needs its right neighbour read too.  Too few such bins, or no
     minimum among them, give None.  At rmax every bin is read: no pairs
-    raise ValueError, no minimum gives the bin RDF_BINS // 10 past the
-    peak, and pairs is None.
+    raise ValueError, no minimum gives the bin nbins // 10 past the peak,
+    and pairs is None.
     """
-    edges = np.histogram_bin_edges([], RDF_BINS, range=(0.0, rmax))
+    edges = np.histogram_bin_edges([], nbins, range=(0.0, rmax))
     capped = reach < rmax
     # the smoothed bins read: those whose window ends below reach
-    top = int(np.count_nonzero(edges[1:] < reach)) - 2 if capped else RDF_BINS
+    top = int(np.count_nonzero(edges[1:] < reach)) - 2 if capped else nbins
     if top < 3:
         return None
-    hist = np.zeros(RDF_BINS, dtype=np.int64)
+    hist = np.zeros(nbins, dtype=np.int64)
     kept = []
     for i, j, r2 in kernels.pairs_within(pos, box, reach):
-        hist += np.histogram(np.sqrt(r2), RDF_BINS, range=(0.0, rmax))[0]
+        hist += np.histogram(np.sqrt(r2), nbins, range=(0.0, rmax))[0]
         if capped:
             kept.append((i, j, r2))
     if not capped and not hist.any():
@@ -315,7 +340,7 @@ def _rdf_minimum(pos, box, rmax, reach):
                   if g[i] <= g[i - 1] and g[i] < g[i + 1]), None)
     if not capped:
         if r_cut is None:
-            r_cut = float(centers[min(peak + RDF_BINS // 10, RDF_BINS - 1)])
+            r_cut = float(centers[min(peak + nbins // 10, nbins - 1)])
         return r_cut, None
     if r_cut is None:
         return None
@@ -341,12 +366,25 @@ def analyze_frame(frame: Frame, nl: NeighbourList, catalog: Catalog,
     thermal noise); labels the nearest catalog codes under d_E, ties to the
     lower catalog index; distances in bits.  A particle with k < 2 gets
     e = NaN, m = 0, label "-" and distance NaN.
+
+    The pass runs over kernels.row_blocks of the neighbour lists: each block
+    is profiled and classified on its own, and only the per-particle results
+    are kept for the whole frame.  A particle's results depend on its own
+    row alone, so they do not depend on the blocks.
     """
-    kk, fcounts = kernels.profile_particles(
-        frame.positions, frame.box, nl.starts, nl.indices, disc.bin_edges)
-    mm = fcounts.sum(axis=1)
-    lab_idx, dists = kernels.classify_particles(
-        kk, fcounts, *descriptor_arrays(catalog.geometries, disc))
+    cat_k, cat_f = descriptor_arrays(catalog.geometries, disc)
+    kk = np.empty(frame.n, dtype=np.int64)
+    mm = np.empty(frame.n, dtype=np.int64)
+    lab_idx = np.empty(frame.n, dtype=np.int64)
+    dists = np.empty(frame.n)
+    for lo, hi in kernels.row_blocks(nl.starts):
+        starts = nl.starts[lo:hi + 1]
+        kk[lo:hi], fcounts = kernels.profile_particles(
+            frame.positions, frame.box, starts - starts[0],
+            nl.indices[starts[0]:starts[-1]], disc.bin_edges, first=lo)
+        mm[lo:hi] = fcounts.sum(axis=1)
+        lab_idx[lo:hi], dists[lo:hi] = kernels.classify_particles(
+            kk[lo:hi], fcounts, cat_k, cat_f)
     codes = catalog.codes
     labels = [codes[i] if i >= 0 else "-" for i in lab_idx]
     return _coefficient(kk, mm), kk, mm, labels, dists

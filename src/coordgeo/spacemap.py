@@ -277,13 +277,18 @@ def _smacof_stack(d, x0, max_iter, rtol):
     BLAS dot products with a vector of ones: one matrix-vector product per
     start, in a fixed order for any stack height.  So a start in a stack ends
     bit for bit as it does alone; the rounding differs from numpy's ``sum``
-    in the last bits, which no artifact shows at its 6 decimals.
+    in the last bits, which no artifact shows at its 6 decimals.  B is read
+    from d's upper triangle, so d must be exactly symmetric (mds checks it).
     Returns one (coords, stress trace array, converged) per start.
     """
     n = len(d)
     iu, ju = np.triu_indices(n, 1)
     diag = np.arange(n)
-    d_up, d_lo = d[iu, ju], d[ju, iu]
+    d_up = d[iu, ju]
+    # B's entries as slots of a row of the upper quotients and one zero: d is
+    # exactly symmetric, so both triangles read the one quotient of each pair
+    slot = np.full((n, n), len(iu))
+    slot[iu, ju] = slot[ju, iu] = np.arange(len(iu))
     den = (d_up ** 2).sum()
     ones_dims, ones_n = np.ones(x0.shape[2]), np.ones(n)
 
@@ -315,13 +320,10 @@ def _smacof_stack(d, x0, max_iter, rtol):
             r = active[j]
             results[r] = (x[j].copy(), history[:it + 1, r].copy(), converged)
 
-    b = np.zeros((len(x), n, n))
     for it in range(1, max_iter + 1):
-        b = b[:len(x)]
-        pos = dist > 0
-        b[:, iu, ju] = np.where(pos, -d_up / dist, 0.0)
-        b[:, ju, iu] = np.where(pos, -d_lo / dist, 0.0)
-        b[:, diag, diag] = 0.0
+        w = np.zeros((len(x), len(iu) + 1))
+        np.divide(-d_up, dist, out=w[:, :-1], where=dist > 0)
+        b = np.take(w, slot, axis=1)
         b[:, diag, diag] = -(b @ ones_n)
         x = (b @ x) / n
         dist = upper_distances(x)
@@ -346,13 +348,16 @@ def mds(dm, dims: int = 8, seed: int = 0, restarts: int = 20,
     One start from the classical (eigendecomposition) solution plus seeded
     random restarts, iterated together as one stack; returns the
     lowest-stress result.  The per-iteration stress trace of the winning run
-    is kept for the majorization guarantee.
+    is kept for the majorization guarantee.  A d that is not exactly
+    symmetric raises ValueError.
     """
     if dims < 1:
         raise ValueError("dims must be positive")
     if restarts < 1:
         raise ValueError("restarts must be positive")
     d = dm.d if isinstance(dm, DistanceMatrix) else np.asarray(dm, dtype=float)
+    if not np.array_equal(d, d.T):
+        raise ValueError("distance matrix must be exactly symmetric")
     rng = np.random.default_rng(seed)
     starts = [_classical_mds(d, dims)]
     scale = max(float(d.max()), 1e-12)

@@ -233,6 +233,25 @@ def test_analyze_profiles_each_frame_once(tmp_path, monkeypatch, catalog,
     assert out.read_text().splitlines() == expect
 
 
+def test_analyze_csv_does_not_depend_on_the_row_blocks(tmp_path, monkeypatch):
+    """The CSV is written one row block at a time; its bytes are those of
+    one block per frame."""
+    frames = [make_lattice("fcc", 3, noise=0.03, seed=4),
+              Frame(positions=np.vstack([make_lattice("bcc", 3).positions,
+                                         [[20.0, 0, 0]]]))]
+    xyz = tmp_path / "two.extxyz"
+    write_frames(xyz, frames)
+    outs = []
+    for budget in (1 << 30, 50):
+        monkeypatch.setattr(kernels, "_BUDGET", budget)
+        out = tmp_path / f"{budget}.csv"
+        assert _run(["analyze", str(xyz), "--rcut", "1.2", "--out", str(out),
+                     "--summary", str(out) + ".json"]) == 0
+        outs.append((out.read_bytes(), Path(str(out) + ".json").read_bytes()))
+    assert outs[0] == outs[1]
+    assert len(outs[0][0].splitlines()) == 1 + 108 + 55
+
+
 def test_analyze_coincident_particles_fail(tmp_path, capsys):
     frame = make_lattice("fcc", 3)
     dup = Frame(positions=np.vstack([frame.positions, frame.positions[:1]]),

@@ -187,6 +187,16 @@ def test_mds_recovers_euclidean_points():
     assert emb.stress < 1e-6
 
 
+def test_mds_refuses_an_asymmetric_matrix(dmatrix):
+    """B is read from the upper triangle, so d must be exactly symmetric."""
+    d = dmatrix.d.copy()
+    d[3, 7] = np.nextafter(d[3, 7], np.inf)
+    with pytest.raises(ValueError, match="exactly symmetric"):
+        mds(d, dims=2, restarts=1)
+    d[7, 3] = d[3, 7]
+    assert mds(d, dims=2, restarts=1).coords.shape == (22, 2)
+
+
 def test_mds_stress_decreases_with_dims(dmatrix):
     s7 = mds(dmatrix, dims=7, seed=0, restarts=5).stress
     s8 = mds(dmatrix, dims=8, seed=0, restarts=5).stress
