@@ -12,7 +12,8 @@ from .angles import (AnglePool, AngleProfile, Discretizer, bond_angles,
 from .catalog import (CAPPING_RELATION, CODES, TAXONOMY, Catalog, GeometrySpec,
                       build_catalog, build_geometry, capping_reduced_set)
 from .coefficients import (ParticleDescriptor, check_loose_bounds,
-                           check_upper_bound, d_e, descriptor, e_many, e_one)
+                           check_upper_bound, d_e, descriptor,
+                           descriptor_arrays, e_many, e_one)
 from .hull import HullResult, convex_hull
 from .shape import moment_per_neighbour, sphericity
 from .snapshot import (Frame, NeighbourList, analyze_frame, auto_cutoff,

@@ -14,7 +14,7 @@ import numpy as np
 
 from .angles import collect_pool, derive_discretizer
 from .catalog import build_catalog, catalog_to_json
-from .coefficients import descriptor, e_one
+from .coefficients import descriptor, descriptor_arrays, e_one
 from .kernels import row_blocks
 from .shape import moment_per_neighbour, sphericity
 from .snapshot import analyze_frame, auto_cutoff, iter_frames, neighbours_cutoff
@@ -223,11 +223,26 @@ def cmd_inherent_angles(args):
     return 0
 
 
+def _csv_rows(fi, lo, hi, kk, mm, e, labels, dists):
+    """analyze's CSV rows of particles lo to hi - 1 of frame fi, one %
+    template filled once (%.6f writes NaN as nan, as format spec .6f does)."""
+    row = f"{fi},%d,%d,%d,%.6f,%s,%.6f\n"
+    fields = [None] * (6 * (hi - lo))
+    fields[0::6] = range(lo, hi)
+    fields[1::6] = kk[lo:hi].tolist()
+    fields[2::6] = mm[lo:hi].tolist()
+    fields[3::6] = e[lo:hi].tolist()
+    fields[4::6] = labels[lo:hi]
+    fields[5::6] = dists[lo:hi].tolist()
+    return row * (hi - lo) % tuple(fields)
+
+
 def cmd_analyze(args):
     if args.summary == "-" and args.out in (None, "-"):
         raise ValueError("--summary - and the CSV (--out, default stdout) "
                          "cannot share stdout; write one of them to a file")
     _, catalog, disc, _ = _pipeline(args)
+    descriptors = descriptor_arrays(catalog.geometries, disc)
     summary = []
     with _output(args.out) as out:
         out.write("frame,id,k,m,e,label,d_e\n")
@@ -240,14 +255,10 @@ def cmd_analyze(args):
                     raise ValueError(f"frame {fi}: {exc}; set the cutoff "
                                      f"explicitly with --rcut") from exc
             nl = neighbours_cutoff(frame, rcut, pairs)
-            e, kk, mm, labels, dists = analyze_frame(frame, nl, catalog, disc)
+            e, kk, mm, labels, dists = analyze_frame(frame, nl, catalog.codes,
+                                                     descriptors, disc)
             for lo, hi in row_blocks(nl.starts):
-                out.write("".join([
-                    f"{fi},{i},{k},{m},{ei:.6f},{lab},{di:.6f}\n"
-                    for i, k, m, ei, lab, di in zip(
-                        range(lo, hi), kk[lo:hi].tolist(), mm[lo:hi].tolist(),
-                        e[lo:hi].tolist(), labels[lo:hi],
-                        dists[lo:hi].tolist())]))
+                out.write(_csv_rows(fi, lo, hi, kk, mm, e, labels, dists))
             codes, counts = np.unique(labels, return_counts=True)
             finite = e[~np.isnan(e)]
             summary.append({

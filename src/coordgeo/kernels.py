@@ -4,13 +4,17 @@ Each kernel has one numpy implementation and no per-particle or per-bin
 Python loop.  One vectorised cell list, pairs_within (Allen & Tildesley,
 Computer Simulation of Liquids, sec. 5.3), finds the pairs within a radius for
 every box, thin slabs and open frames (box None) included, each pair once.
+Its distances gather coordinates by np.take from contiguous columns, and its
+minimum image skips the products with the zero entries of the box and its
+inverse, which change no distance's bits (_pair_r2).
 snapshot.auto_cutoff bins the distances of the pairs within two mean spacings
 and keeps those within the cutoff it picks; pairs_csr mirrors pairs into CSR
 rows, for neighbour_csr's search and for the pairs auto_cutoff kept alike.
 The O(N^2) brute force is only the test reference.  The angle
 profile runs over row_blocks, blocks of consecutive CSR rows, and within a
-block it is batched by coordination number k: one minimum-image step for the
-block's bond vectors, then stacked Gram matrices per k.  The bins that hold a
+block it is batched by coordination number k: one np.take gather and one
+minimum-image step for the block's bond vectors, then stacked Gram matrices
+per k, their rows gathered by np.take.  The bins that hold a
 gap above VALUE_RESOLUTION are described by their gaps and cluster sizes and
 merged all at once per block, one call per gap count, each round removing one
 gap from every row still merging.  A particle's profile is the catalog's
@@ -40,29 +44,44 @@ _MAX_CELLS = 64  # per axis; larger cells stay correct, only slower
 _BUDGET = 1 << 16
 
 
-def _dot3(u, v):
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+def _combine(u, w):
+    """w[0] * u[0] + w[1] * u[1] + w[2] * u[2], summed left to right, for
+    arrays u and numbers w, without the terms whose w is exactly 0.
+
+    A skipped term is +-0 for finite u and changes no sum but the sign of a
+    zero sum, so a diagonal box costs one product per axis, not three.
+    """
+    terms = [x * c for x, c in zip(u, w) if c != 0.0]
+    for t in terms[1:]:
+        terms[0] += t
+    return terms[0]
 
 
-def _pair_r2(pos, i, j, box, inv):
-    """|pos[i] - pos[j]|^2 over broadcast index arrays i, j (minimum image if box).
+def _pair_r2(cols, i, j, box, inv):
+    """|pos[i] - pos[j]|^2 over broadcast index arrays i, j (minimum image if
+    box), from cols, the three coordinate columns of pos, each contiguous.
 
     Plain elementwise arithmetic makes each value independent of the shape of
     i and j, so the cell list and the brute force decide pairs at rcut alike.
+    Under a box, the zero entries of box and inv are skipped (_combine): a
+    fractional coordinate that sums to a zero of either sign is +0 once its
+    nearest integer is subtracted, and a Cartesian one is squared, so r2 is
+    bitwise that of the full 3 x 3 products.
     """
-    d = [pos[i, c] - pos[j, c] for c in range(3)]
+    d = [np.take(x, i) - np.take(x, j) for x in cols]
     if box is not None:
-        f = [_dot3(d, inv[:, c]) for c in range(3)]
+        f = [_combine(d, inv[:, c]) for c in range(3)]
         del d
         for x in f:
             x -= np.rint(x)
-        d = [_dot3(f, box[:, c]) for c in range(3)]
-    return _dot3(d, d)
+        d = [_combine(f, box[:, c]) for c in range(3)]
+    return d[0] * d[0] + d[1] * d[1] + d[2] * d[2]
 
 
 def _np_neighbour_pairs(pos, box, rcut):
     """O(N^2) reference search: CSR neighbour lists within rcut, rows sorted."""
     pos = np.ascontiguousarray(pos, dtype=np.float64)
+    cols = pos.T.copy()
     n = len(pos)
     inv = None if box is None else np.linalg.inv(box)
     chunk = max(1, int(4e6 // n))
@@ -70,7 +89,7 @@ def _np_neighbour_pairs(pos, box, rcut):
     idx = []
     for lo in range(0, n, chunk):
         rows = np.arange(lo, min(n, lo + chunk))
-        r2 = _pair_r2(pos, rows[:, None], np.arange(n)[None, :], box, inv)
+        r2 = _pair_r2(cols, rows[:, None], np.arange(n)[None, :], box, inv)
         r2[np.arange(len(rows)), rows] = np.inf
         ii, jj = np.nonzero(r2 <= rcut * rcut)
         counts[rows] = np.bincount(ii, minlength=len(rows))
@@ -89,6 +108,7 @@ def pairs_within(pos, box, rcut):
     twice).  A chunk holds the owners of about _BUDGET candidates.
     """
     pos = np.ascontiguousarray(pos, dtype=np.float64)
+    cols = pos.T.copy()
     n = len(pos)
     # a hair of slack keeps every cell wider than rcut despite rounding
     cell_len = rcut * (1.0 + 1e-9)
@@ -131,7 +151,7 @@ def pairs_within(pos, box, rcut):
         j = order[np.arange(ends[-1]) + np.repeat(first[near] - ends + size, size)]
         keep = i < j
         i, j = i[keep], j[keep]
-        r2 = _pair_r2(pos, i, j, box, inv)
+        r2 = _pair_r2(cols, i, j, box, inv)
         keep = r2 <= rcut * rcut
         yield i[keep], j[keep], r2[keep]
 
@@ -200,9 +220,11 @@ def profile_particles(pos, box, starts, idx, edges, first=0):
     edges = np.ascontiguousarray(edges, dtype=np.float64)
     kk = np.diff(starts).astype(np.int64)
     n = len(kk)
-    fcounts = np.zeros((n, len(edges) + 1), dtype=np.int64)
-    owners = np.repeat(np.arange(first, first + n), kk)
-    vec = pos[idx] - pos[owners]
+    nbins = len(edges) + 1
+    fcounts = np.zeros((n, nbins), dtype=np.int64)
+    # bond vectors: each neighbour's row minus its owner's, owners repeated by k
+    vec = np.take(pos, idx, axis=0)
+    vec -= np.repeat(pos[first:first + n], kk, axis=0)
     if box is not None:
         f = vec @ np.linalg.inv(box)
         f -= np.rint(f)
@@ -213,9 +235,11 @@ def profile_particles(pos, box, starts, idx, edges, first=0):
         # bonds run in CSR order: the first zero one belongs to the lowest
         # offending particle and is its first coincident neighbour
         b = zero[0]
-        raise ValueError(f"particle {owners[b]} coincides with particle "
+        owner = first + int(np.searchsorted(starts, b, side="right")) - 1
+        raise ValueError(f"particle {owner} coincides with particle "
                          f"{idx[b]} (zero-length bond)")
     vec /= length[:, None]
+    flat = fcounts.reshape(-1)
     runs = []  # (particle, bin, gap count, gaps, cluster sizes) per chunk
     for k in np.unique(kk[kk >= 2]).tolist():
         iu, ju = np.triu_indices(k, 1)
@@ -223,11 +247,11 @@ def profile_particles(pos, box, starts, idx, edges, first=0):
         chunk = max(1, _BUDGET // len(iu))
         for lo in range(0, len(rows), chunk):
             r = rows[lo:lo + chunk]
-            v = vec[starts[r][:, None] + np.arange(k)]
+            v = np.take(vec, starts[r][:, None] + np.arange(k), axis=0)
             gram = np.clip((v @ v.transpose(0, 2, 1))[:, iu, ju], -1.0, 1.0)
             ang = np.sort(np.degrees(np.arccos(gram)), axis=1)
             cls = np.searchsorted(edges, ang, side="left")
-            fcounts[r[:, None], cls] = 1
+            flat[(r * nbins)[:, None] + cls] = 1
             row, c, ngaps, gaps, sizes = _gapped_runs(ang, cls)
             runs.append((r[row], c, ngaps, gaps, sizes))
     if runs:

@@ -8,7 +8,8 @@ the line it refuses.  Neighbourhoods come from a cutoff search
 a periodic box) at a given cutoff, or at the first RDF minimum.  auto_cutoff
 bins the pairs the same cell list finds within two mean spacings, in bins of
 a fixed width in spacings on a large frame, and returns those within the
-cutoff it picks, so neighbours_cutoff builds that frame's lists without a
+cutoff it picks, each chunk of the search cut at that cutoff before the
+chunks are joined, so neighbours_cutoff builds that frame's lists without a
 second search; only a frame whose minimum lies beyond that reach is binned
 out to half the box.  Each particle's bond angles are discretized with the
 catalog discretizer into the catalog's descriptor format: k and the
@@ -18,8 +19,9 @@ catalog geometry under coefficients.distances, the d_E that builds the
 distance matrix.  analyze_frame, the one per-frame function, gives both from
 one profiling pass over blocks of rows (kernels.row_blocks), so that memory
 holds one frame's neighbour lists and per-particle results plus one block of
-fixed size, not every bond of the frame at once.  Coincident particles raise
-ValueError.
+fixed size, not every bond of the frame at once.  It takes the catalog's
+descriptor arrays from its caller, which builds them once for all frames.
+Coincident particles raise ValueError.
 """
 
 from __future__ import annotations
@@ -33,8 +35,6 @@ import numpy as np
 
 from . import kernels
 from .angles import Discretizer
-from .catalog import Catalog
-from .coefficients import descriptor_arrays
 
 RDF_BINS = 200  # auto_cutoff's histogram bins over RDF_SPAN spacings or less
 RDF_SPAN = 10    # mean particle spacings that RDF_BINS bins cover at most
@@ -344,9 +344,12 @@ def _rdf_minimum(pos, box, rmax, nbins, reach):
         return r_cut, None
     if r_cut is None:
         return None
-    i, j, r2 = (np.concatenate(a) for a in zip(*kept))
-    keep = r2 <= r_cut * r_cut
-    return r_cut, (i[keep], j[keep])
+    # cut each chunk to its pairs within r_cut before joining them, so no
+    # second copy of every pair within reach is made
+    for c, (i, j, r2) in enumerate(kept):
+        keep = r2 <= r_cut * r_cut
+        kept[c] = i[keep], j[keep]
+    return r_cut, tuple(np.concatenate(a) for a in zip(*kept))
 
 
 def _coefficient(kk, mm):
@@ -356,9 +359,13 @@ def _coefficient(kk, mm):
     return e
 
 
-def analyze_frame(frame: Frame, nl: NeighbourList, catalog: Catalog,
+def analyze_frame(frame: Frame, nl: NeighbourList, codes, descriptors,
                   disc: Discretizer):
     """Coefficients and labels of every particle from one profiling pass.
+
+    codes are the catalog's codes and descriptors their (k, f) arrays under
+    disc, as coefficients.descriptor_arrays gives them: a command builds
+    them once for all its frames.
 
     Returns (e, k, m, labels, distances): e in bits; m the distinct bond
     angles, where discretized values in one bin closer than
@@ -372,7 +379,7 @@ def analyze_frame(frame: Frame, nl: NeighbourList, catalog: Catalog,
     are kept for the whole frame.  A particle's results depend on its own
     row alone, so they do not depend on the blocks.
     """
-    cat_k, cat_f = descriptor_arrays(catalog.geometries, disc)
+    cat_k, cat_f = descriptors
     kk = np.empty(frame.n, dtype=np.int64)
     mm = np.empty(frame.n, dtype=np.int64)
     lab_idx = np.empty(frame.n, dtype=np.int64)
@@ -385,8 +392,8 @@ def analyze_frame(frame: Frame, nl: NeighbourList, catalog: Catalog,
         mm[lo:hi] = fcounts.sum(axis=1)
         lab_idx[lo:hi], dists[lo:hi] = kernels.classify_particles(
             kk[lo:hi], fcounts, cat_k, cat_f)
-    codes = catalog.codes
-    labels = [codes[i] if i >= 0 else "-" for i in lab_idx]
+    names = [*codes, "-"]  # index -1, a particle with k < 2, reads "-"
+    labels = [names[i] for i in lab_idx.tolist()]
     return _coefficient(kk, mm), kk, mm, labels, dists
 
 

@@ -14,6 +14,15 @@ def discretizer(catalog):
 
 
 @pytest.fixture(scope="session")
+def analyze(catalog, discretizer):
+    """analyze_frame(frame, nl) against the catalog under the published
+    discretizer, its descriptor arrays built once."""
+    descriptors = cg.descriptor_arrays(catalog.geometries, discretizer)
+    return lambda frame, nl: cg.analyze_frame(frame, nl, catalog.codes,
+                                              descriptors, discretizer)
+
+
+@pytest.fixture(scope="session")
 def dmatrix(catalog, discretizer):
     return cg.distance_matrix(catalog, discretizer)
 

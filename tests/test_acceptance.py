@@ -21,7 +21,7 @@ from coordgeo import kernels
 from coordgeo.coefficients import (check_loose_bounds, check_upper_bound,
                                    d_e, descriptor, e_one)
 from coordgeo.shape import moment_per_neighbour, sphericity
-from coordgeo.snapshot import analyze_frame, make_lattice, neighbours_cutoff
+from coordgeo.snapshot import make_lattice, neighbours_cutoff
 from coordgeo.spacemap import (_classical_mds, _smacof, class_averages,
                                hierarchical_cluster, mds, typicality,
                                verify_metric)
@@ -179,7 +179,7 @@ def test_criterion_08_typicality(catalog, dmatrix):
           f"worst |dtau| vs published = {worst:.3f}, class averages to +-0.1")
 
 
-def test_criterion_09_snapshots(catalog, discretizer):
+def test_criterion_09_snapshots(analyze):
     worst_noisy = 1.0
     for kind, rcut, nn in (("fcc", 0.85, 2 ** -0.5),
                            ("bcc", 1.2, math.sqrt(3.0) / 2.0),
@@ -188,14 +188,14 @@ def test_criterion_09_snapshots(catalog, discretizer):
         t0 = time.monotonic()
         frame = make_lattice(kind, 4)
         nl = neighbours_cutoff(frame, rcut)
-        labels, dists = analyze_frame(frame, nl, catalog, discretizer)[3:]
+        labels, dists = analyze(frame, nl)[3:]
         assert set(labels) == {kind.upper()}, kind
         assert np.nanmax(dists) == 0.0, kind
         # rms displacement magnitude of 1% of the nearest-neighbour distance
         sigma = 0.01 * nn / math.sqrt(3.0)
         noisy = make_lattice(kind, 4, noise=sigma, seed=2024)
         nl2 = neighbours_cutoff(noisy, rcut)
-        labels2, _ = analyze_frame(noisy, nl2, catalog, discretizer)[3:]
+        labels2, _ = analyze(noisy, nl2)[3:]
         frac = sum(1 for s in labels2 if s == kind.upper()) / noisy.n
         worst_noisy = min(worst_noisy, frac)
         elapsed = time.monotonic() - t0

@@ -114,6 +114,28 @@ def test_catalog_artifacts_match_the_recorded_digests(tmp_path, monkeypatch):
     assert got == recorded
 
 
+@pytest.mark.parametrize("name", ["crystal-fixed-rcut", "melt-auto-rcut"])
+def test_snapshot_artifacts_match_the_recorded_digests(tmp_path, monkeypatch,
+                                                       name):
+    # analyze on the benchmark's full-size snapshot inputs at seed 0 writes
+    # the CSV and summary bytes recorded for that workload
+    monkeypatch.syspath_prepend(str(DIGESTS.parent))
+    from workloads import WORKLOADS, make_inputs
+
+    recorded = json.loads(DIGESTS.read_text())[name]
+    workload = WORKLOADS[name]
+    make_inputs(workload, 0, tmp_path, smoke=False)
+    argv = ["analyze", str(tmp_path / "traj.extxyz"),
+            "--out", str(tmp_path / "analyze.csv"),
+            "--summary", str(tmp_path / "summary.json")]
+    if workload.rcut is not None:
+        argv += ["--rcut", repr(workload.rcut)]
+    assert _run(argv) == 0
+    got = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+           for f in recorded}
+    assert got == recorded
+
+
 def test_inherent_angles_json(tmp_path, monkeypatch, capsys):
     out = tmp_path / "disc.json"
     assert _run(["inherent-angles", "--out", str(out)]) == 0
@@ -204,8 +226,7 @@ def test_analyze_auto_cutoff_failure_names_rcut(tmp_path, capsys):
                                                 "0,1,1,0,nan,-,nan"]
 
 
-def test_analyze_profiles_each_frame_once(tmp_path, monkeypatch, catalog,
-                                          discretizer):
+def test_analyze_profiles_each_frame_once(tmp_path, monkeypatch, analyze):
     frames = [make_lattice("fcc", 3, noise=0.01, seed=1),
               make_lattice("fcc", 3, noise=0.03, seed=2)]
     xyz = tmp_path / "two.extxyz"
@@ -225,8 +246,7 @@ def test_analyze_profiles_each_frame_once(tmp_path, monkeypatch, catalog,
     expect = ["frame,id,k,m,e,label,d_e"]
     for fi, frame in enumerate(cg.read_frames(xyz)):
         nl = cg.neighbours_cutoff(frame, 0.85)
-        e, kk, mm, labels, dists = cg.analyze_frame(frame, nl, catalog,
-                                                    discretizer)
+        e, kk, mm, labels, dists = analyze(frame, nl)
         for i in range(frame.n):
             expect.append(f"{fi},{i},{kk[i]},{mm[i]},{e[i]:.6f},{labels[i]},"
                           f"{dists[i]:.6f}")
@@ -250,6 +270,44 @@ def test_analyze_csv_does_not_depend_on_the_row_blocks(tmp_path, monkeypatch):
         outs.append((out.read_bytes(), Path(str(out) + ".json").read_bytes()))
     assert outs[0] == outs[1]
     assert len(outs[0][0].splitlines()) == 1 + 108 + 55
+
+
+def _fstring_csv(frames, rcut, analyze):
+    """Reference: analyze's CSV with one f-string per row."""
+    lines = ["frame,id,k,m,e,label,d_e\n"]
+    for fi, frame in enumerate(frames):
+        nl = cg.neighbours_cutoff(frame, rcut)
+        e, kk, mm, labels, dists = analyze(frame, nl)
+        lines += [f"{fi},{i},{k},{m},{ei:.6f},{lab},{di:.6f}\n"
+                  for i, k, m, ei, lab, di in zip(
+                      range(frame.n), kk.tolist(), mm.tolist(), e.tolist(),
+                      labels, dists.tolist())]
+    return "".join(lines).encode()
+
+
+def test_analyze_csv_bytes_equal_the_fstring_rows(tmp_path, analyze):
+    """The % template writes the bytes of the f-string rows, nan included."""
+    crystal = make_lattice("fcc", 4, noise=0.02, seed=6)
+    # particle 0 of the periodic frame loses its first shell: k = 0
+    nl = cg.neighbours_cutoff(crystal, 0.85)
+    shell = nl.indices[nl.starts[0]:nl.starts[1]]
+    isolated = Frame(positions=np.delete(crystal.positions, shell, axis=0),
+                     box=crystal.box)
+    # the open frame ends in a lone pair: k = 1
+    open_ = Frame(positions=np.vstack([make_lattice("fcc", 3, noise=0.02,
+                                                    seed=7).positions,
+                                       [[20.0, 0, 0], [20.5, 0, 0]]]))
+    frames = [isolated, open_]
+    xyz = tmp_path / "two.extxyz"
+    write_frames(xyz, frames)
+    out = tmp_path / "pp.csv"
+    assert _run(["analyze", str(xyz), "--rcut", "0.85", "--out", str(out)]) == 0
+    got = out.read_bytes()
+    assert got == _fstring_csv(cg.read_frames(xyz), 0.85, analyze)
+    rows = got.splitlines()
+    assert rows[1] == b"0,0,0,0,nan,-,nan"
+    assert rows[-1] == b"1,109,1,0,nan,-,nan"
+    assert len(rows) == 1 + isolated.n + open_.n
 
 
 def test_analyze_coincident_particles_fail(tmp_path, capsys):

@@ -67,6 +67,56 @@ def test_cell_list_equals_brute_force(seed, n, periodic, cells, slack, tilt):
     _cell_list_vs_brute(pos, box if periodic else None, rcut)
 
 
+def _dot3(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _pair_r2_full(pos, i, j, box, inv):
+    """Reference: minimum-image r2 with every term of both 3 x 3 products."""
+    d = [pos[i, c] - pos[j, c] for c in range(3)]
+    f = [_dot3(d, inv[:, c]) for c in range(3)]
+    for x in f:
+        x -= np.rint(x)
+    d = [_dot3(f, box[:, c]) for c in range(3)]
+    return _dot3(d, d)
+
+
+def test_pair_r2_skips_zero_box_entries_bitwise():
+    """Skipping the zero entries of box and inv leaves every r2 bit as the
+    full products give it, zero sums of either sign included."""
+    rot = np.linalg.qr(np.random.default_rng(7).normal(size=(3, 3)))[0]
+    lower = np.diag([4.0, 5.0, 6.0])
+    lower[np.tril_indices(3, -1)] = [0.7, -1.1, 0.4]
+    one_zero = lower.copy()
+    one_zero[2, 1] = 0.0
+    signed_zero = np.diag([4.0, 5.0, 6.0])
+    signed_zero[0, 1] = signed_zero[2, 0] = -0.0
+    boxes = {"diagonal": np.diag([4.0, 5.0, 6.0]), "triclinic": lower @ rot,
+             "one zero off-diagonal": one_zero, "-0.0 entry": signed_zero}
+    rng = np.random.default_rng(8)
+    for name, box in boxes.items():
+        # a lattice (exact zero differences), random points, and points
+        # within 0.05 of the faces, whose pairs straddle the boundary
+        frac = np.vstack([np.stack(np.meshgrid(*[np.arange(4) / 4] * 3),
+                                   axis=-1).reshape(-1, 3),
+                          rng.uniform(0.0, 1.0, size=(60, 3)),
+                          rng.uniform(-0.05, 0.05, size=(60, 3)) % 1.0])
+        pos = frac @ box
+        n = len(pos)
+        inv = np.linalg.inv(box)
+        assert (inv == 0.0).any() or name == "triclinic"
+        i, j = np.arange(n)[:, None], np.arange(n)[None, :]
+        want = _pair_r2_full(pos, i, j, box, inv)
+        got = kernels._pair_r2(pos.T.copy(), i, j, box, inv)
+        assert got.tobytes() == want.tobytes(), name
+        # one-dimensional index arrays, as the cell list passes them
+        i, j = np.nonzero(np.ones((n, n), dtype=bool))
+        got = kernels._pair_r2(pos.T.copy(), i, j, box, inv)
+        assert got.tobytes() == want.ravel().tobytes(), name
+        # some pairs are nearer through the boundary than directly
+        assert (want < ((pos[:, None] - pos[None, :]) ** 2).sum(axis=2)).any()
+
+
 def test_profile_counts_sum_to_m(setup):
     fr, edges, _ = setup
     # m is the row sum of the counts by construction; the open frame adds an
@@ -424,7 +474,7 @@ def _margin(pos, box, rcut, edges):
     VALUE_RESOLUTION and twice it (the merge thresholds)."""
     inv = None if box is None else np.linalg.inv(box)
     n = len(pos)
-    r = np.sqrt(kernels._pair_r2(pos, np.arange(n)[:, None],
+    r = np.sqrt(kernels._pair_r2(pos.T.copy(), np.arange(n)[:, None],
                                  np.arange(n)[None, :], box, inv))
     out = [np.abs(r[~np.eye(n, dtype=bool)] - rcut).min()]
     for i in range(n):
