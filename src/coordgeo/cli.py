@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import inspect
 import json
 import os
 import sys
@@ -22,13 +23,17 @@ from .spacemap import (delaunay_2d, distance_matrix, hierarchical_cluster,
                        mds, order_typicality_scatter, typicality,
                        verify_axioms)
 
+# RunConfig's defaults are those of the functions that take the settings
+_DISC = inspect.signature(derive_discretizer).parameters
+_MDS = inspect.signature(mds).parameters
+
 @dataclass
 class RunConfig:
-    epsilon: float = 2.85
-    min_pts: int = 1
-    dims: int = 8
-    seed: int = 0
-    restarts: int = 20
+    epsilon: float = _DISC["epsilon"].default
+    min_pts: int = _DISC["min_pts"].default
+    dims: int = _MDS["dims"].default
+    seed: int = _MDS["seed"].default
+    restarts: int = _MDS["restarts"].default
 
     def __post_init__(self):
         if self.dims < 1:
@@ -125,6 +130,15 @@ def _output(path):
             os.unlink(tmp)
 
 
+def _distinct_outputs(flag_a, path_a, flag_b, path_b):
+    """Refuse two output flags that name one file: the second output would
+    replace the first."""
+    if (path_a not in (None, "-") and path_b not in (None, "-")
+            and Path(path_a).resolve() == Path(path_b).resolve()):
+        raise ValueError(f"{flag_a} and {flag_b} both name {path_b}; "
+                         f"write them to two files")
+
+
 def _write(path, text):
     with _output(path) as fh:
         fh.write(text)
@@ -162,6 +176,7 @@ def cmd_distances(args):
 
 
 def cmd_tree(args):
+    _distinct_outputs("--out", args.out, "--dot", args.dot)
     _, _, _, dm = _pipeline(args)
     dendro = hierarchical_cluster(dm)
     _write(args.out, dendro.newick() + "\n")
@@ -241,6 +256,7 @@ def cmd_analyze(args):
     if args.summary == "-" and args.out in (None, "-"):
         raise ValueError("--summary - and the CSV (--out, default stdout) "
                          "cannot share stdout; write one of them to a file")
+    _distinct_outputs("--out", args.out, "--summary", args.summary)
     _, catalog, disc, _ = _pipeline(args)
     descriptors = descriptor_arrays(catalog.geometries, disc)
     summary = []

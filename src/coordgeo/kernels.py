@@ -7,10 +7,10 @@ every box, thin slabs and open frames (box None) included, each pair once.
 Its distances gather coordinates by np.take from contiguous columns, and its
 minimum image skips the products with the zero entries of the box and its
 inverse, which change no distance's bits (_pair_r2).
-snapshot.auto_cutoff bins the distances of the pairs within two mean spacings
-and keeps those within the cutoff it picks; pairs_csr mirrors pairs into CSR
-rows, for neighbour_csr's search and for the pairs auto_cutoff kept alike.
-The O(N^2) brute force is only the test reference.  The angle
+snapshot.auto_cutoff bins the distances of the pairs within two mean spacings,
+or a doubled reach, and keeps those within its cutoff; pairs_csr mirrors
+pairs into CSR rows, for neighbour_csr's search and for the pairs auto_cutoff
+kept alike.  The O(N^2) brute force is only the test reference.  The angle
 profile runs over row_blocks, blocks of consecutive CSR rows, and within a
 block it is batched by coordination number k: one np.take gather and one
 minimum-image step for the block's bond vectors, then stacked Gram matrices

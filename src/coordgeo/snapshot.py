@@ -6,20 +6,20 @@ coordinates are read by numpy's C parser, and by a line loop only to name
 the line it refuses.  Neighbourhoods come from a cutoff search
 (kernels.neighbour_csr: a numpy cell list for every box, minimum image under
 a periodic box) at a given cutoff, or at the first RDF minimum.  auto_cutoff
-bins the pairs the same cell list finds within two mean spacings, in bins of
-a fixed width in spacings on a large frame, and returns those within the
-cutoff it picks, each chunk of the search cut at that cutoff before the
-chunks are joined, so neighbours_cutoff builds that frame's lists without a
-second search; only a frame whose minimum lies beyond that reach is binned
-out to half the box.  Each particle's bond angles are discretized with the
-catalog discretizer into the catalog's descriptor format: k and the
-per-class counts f of distinct measured angles, with m = f.sum().  The
-per-particle coefficient uses k and m, and classification picks the nearest
-catalog geometry under coefficients.distances, the d_E that builds the
-distance matrix.  analyze_frame, the one per-frame function, gives both from
-one profiling pass over blocks of rows (kernels.row_blocks), so that memory
-holds one frame's neighbour lists and per-particle results plus one block of
-fixed size, not every bond of the frame at once.  It takes the catalog's
+bins the pairs the same cell list finds within two mean spacings, doubling
+that reach while it holds no minimum, in bins of a fixed width in spacings
+on a large frame, and returns those within the cutoff it picks, each chunk
+of the search cut at that cutoff before the chunks are joined, so
+neighbours_cutoff builds that frame's lists without a second search.  Each
+particle's bond angles are discretized with the catalog discretizer into the
+catalog's descriptor format: k and the per-class counts f of distinct
+measured angles, with m = f.sum().  The per-particle coefficient uses k and
+m, and classification picks the nearest catalog geometry under
+coefficients.distances, the d_E that builds the distance matrix.
+analyze_frame, the one per-frame function, gives both from one profiling
+pass over blocks of rows (kernels.row_blocks), so that memory holds one
+frame's neighbour lists and per-particle results plus one block of fixed
+size, not every bond of the frame at once.  It takes the catalog's
 descriptor arrays from its caller, which builds them once for all frames.
 Coincident particles raise ValueError.
 """
@@ -262,27 +262,19 @@ def neighbours_cutoff(frame: Frame, r_cut: float, pairs=None) -> NeighbourList:
 
 def auto_cutoff(frame: Frame):
     """Cutoff at the first minimum of the radial distribution function, and
-    the pairs within it.
-
-    Returns (r_cut, pairs): pairs are the (i, j) index arrays of every pair
-    within r_cut, each pair once, for neighbours_cutoff(frame, r_cut, pairs),
-    or None when the cutoff came from the full search.
+    the (i, j) index arrays of every pair within it, each pair once, for
+    neighbours_cutoff(frame, r_cut, pairs).
 
     The RDF runs out to rmax, half the box width (half the diagonal of an
     open frame), in bins of rmax / RDF_BINS, or of RDF_SPAN / RDF_BINS mean
-    spacings when rmax spans more than RDF_SPAN of them, so a large frame
-    gets bins as fine as a small one.  The mean spacing is (V/N)^(1/3), with
-    V the box volume or the bounding-box volume of an open frame.  There are
-    at most as many bins as particles, a bound that only a very flat or
-    elongated frame reaches.  The RDF is filled first from the pairs within
-    RDF_CAP mean spacings, found by the cell list kernels.pairs_within; only
-    the bins below that reach are read.  When the reach covers rmax, leaves
-    fewer than three complete smoothed bins (a flat open frame has V = 0), or
-    holds no minimum after the peak, all pairs out to rmax are binned
-    instead.  The capped answer differs from the full one only on a frame
-    whose smoothed g(r) has its global maximum beyond the bins read, that is
-    near or beyond the reach; the first peak of a dense liquid or crystal
-    lies well inside it.
+    spacings when rmax spans more than RDF_SPAN of them (at most one bin per
+    particle).  The mean spacing is (V/N)^(1/3), with V the box volume or the
+    bounding-box volume of an open frame.  The RDF is filled from the pairs
+    within a reach of RDF_CAP spacings (rmax when V = 0), found by the cell
+    list kernels.pairs_within, and read only below that reach; while those
+    bins hold no minimum after the peak, the reach doubles, up to rmax.  The
+    answer differs from binning every pair out to rmax only on a frame whose
+    smoothed g(r) peaks beyond the bins read.
 
     Structures whose first two shells nearly coincide (the 8+6 split of a
     body-centred cubic crystal, for instance) keep a genuine RDF minimum
@@ -302,9 +294,11 @@ def auto_cutoff(frame: Frame):
     if rmax > RDF_SPAN * spacing > 0.0:
         nbins = min(math.ceil(RDF_BINS * rmax / (RDF_SPAN * spacing)),
                     max(RDF_BINS, frame.n))
-    reach = RDF_CAP * spacing
-    return (_rdf_minimum(pos, box, rmax, nbins, min(reach, rmax))
-            or _rdf_minimum(pos, box, rmax, nbins, rmax))
+    reach = RDF_CAP * spacing or rmax
+    while (found := _rdf_minimum(pos, box, rmax, nbins,
+                                 min(reach, rmax))) is None:
+        reach *= 2.0
+    return found
 
 
 def _rdf_minimum(pos, box, rmax, nbins, reach):
@@ -314,9 +308,10 @@ def _rdf_minimum(pos, box, rmax, nbins, reach):
     Below rmax, the smoothed g(r) is read only where its 5-bin window lies
     in bins wholly below reach: the peak is taken among those bins, and a
     minimum needs its right neighbour read too.  Too few such bins, or no
-    minimum among them, give None.  At rmax every bin is read: no pairs
-    raise ValueError, no minimum gives the bin nbins // 10 past the peak,
-    and pairs is None.
+    minimum among them, give None; otherwise the pairs are the chunks of the
+    search, each cut at r_cut.  At rmax every bin is read: no pairs raise
+    ValueError, no minimum gives the bin nbins // 10 past the peak, and the
+    pairs come from a second search at r_cut, so no pair out to rmax is held.
     """
     edges = np.histogram_bin_edges([], nbins, range=(0.0, rmax))
     capped = reach < rmax
@@ -341,8 +336,8 @@ def _rdf_minimum(pos, box, rmax, nbins, reach):
     if not capped:
         if r_cut is None:
             r_cut = float(centers[min(peak + nbins // 10, nbins - 1)])
-        return r_cut, None
-    if r_cut is None:
+        kept = list(kernels.pairs_within(pos, box, r_cut))
+    elif r_cut is None:
         return None
     # cut each chunk to its pairs within r_cut before joining them, so no
     # second copy of every pair within reach is made

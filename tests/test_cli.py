@@ -211,6 +211,27 @@ def test_analyze_csv_and_summary_cannot_share_stdout(tmp_path, monkeypatch,
     assert not (tmp_path / "-").exists()
 
 
+def test_analyze_outputs_must_be_two_files(tmp_path, monkeypatch, capsys):
+    """--out and --summary naming one file would lose one of them: exit 1,
+    name both flags and write nothing."""
+    xyz = tmp_path / "fcc.extxyz"
+    write_frames(xyz, [make_lattice("fcc", 3)])
+    monkeypatch.chdir(tmp_path)
+    rc = _run(["analyze", str(xyz), "--rcut", "0.85", "--out", "x",
+               "--summary", str(tmp_path / "x")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(
+        "error: --out and --summary both name")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fcc.extxyz"]
+
+
+def test_tree_outputs_must_be_two_files(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert _run(["tree", "--out", "t", "--dot", "./t"]) == 1
+    assert capsys.readouterr().err.startswith("error: --out and --dot both name")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_analyze_auto_cutoff_failure_names_rcut(tmp_path, capsys):
     # the pair spans the diagonal of its open frame, beyond the RDF's reach
     xyz = tmp_path / "pair.xyz"
@@ -490,6 +511,21 @@ def test_config_file_precedence(tmp_path, capsys):
     assert _run(["inherent-angles", "--config", str(cfgfile), "--epsilon", "2.85",
                  "--out", str(out2)]) == 0
     assert json.loads(out2.read_text())["epsilon"] == 2.85
+
+
+def test_run_config_defaults_are_the_signatures():
+    """RunConfig sets no default of its own: each is its function's."""
+    import inspect
+
+    from coordgeo.cli import RunConfig
+
+    def defaults(fn, *names):
+        params = inspect.signature(fn).parameters
+        return {name: params[name].default for name in names}
+
+    expected = {**defaults(cg.derive_discretizer, "epsilon", "min_pts"),
+                **defaults(cg.mds, "dims", "seed", "restarts")}
+    assert vars(RunConfig()) == expected
 
 
 def test_bad_config_rejected(tmp_path, capsys):

@@ -310,6 +310,38 @@ def searches(monkeypatch):
     return radii
 
 
+def _spacing(frame):
+    """The mean spacing (V/N)^(1/3), V the box or bounding-box volume."""
+    if frame.box is not None:
+        volume = abs(np.linalg.det(frame.box))
+    else:
+        volume = float(np.prod(np.ptp(frame.positions, axis=0)))
+    return (volume / frame.n) ** (1.0 / 3.0)
+
+
+def _check_searches(frame, radii, r_cut=None):
+    """The pair searches of one auto_cutoff call: reaches RDF_CAP * s * 2^k,
+    k increasing, clipped to rmax, which comes only last; after rmax, one
+    search at the cutoff r_cut (None when auto_cutoff raised)."""
+    rmax = _rdf_rmax(frame)
+    if r_cut is not None and rmax in radii:
+        assert radii[-1] == r_cut
+        radii = radii[:-1]
+    reach = snapshot.RDF_CAP * _spacing(frame)
+    reaches = {reach * 2.0 ** k for k in range(64)} | {rmax}
+    assert radii and radii == sorted(set(radii))
+    assert all(r in reaches and r <= rmax for r in radii)
+
+
+def _check_pairs(frame, r_cut, pairs):
+    """auto_cutoff's pairs are exactly the neighbour lists at its cutoff."""
+    starts, idx = kernels.pairs_csr(frame.n, [pairs])
+    ref_starts, ref_idx = kernels.neighbour_csr(frame.positions, frame.box,
+                                                r_cut)
+    assert np.array_equal(starts, ref_starts)
+    assert np.array_equal(idx, ref_idx)
+
+
 def test_auto_cutoff_equals_particle_loop(searches):
     """Noisy lattices with and without their box, and random frames."""
     frames = []
@@ -356,19 +388,15 @@ def test_auto_cutoff_equals_particle_loop(searches):
         got = outcome(auto_cutoff, fr)
         assert (got if isinstance(got, str) else got[0]) == \
             outcome(_auto_cutoff_loop, fr)
-        if isinstance(got, str) or got[1] is None:
-            assert not melt
-            continue
-        assert len(searches) == 1 and searches[0] < _rdf_rmax(fr)
-        # the kept pairs are exactly the neighbour lists at that cutoff
-        nl = neighbours_cutoff(fr, *got)
-        starts, idx = kernels.neighbour_csr(fr.positions, fr.box, got[0])
-        assert np.array_equal(nl.starts, starts)
-        assert np.array_equal(nl.indices, idx)
+        _check_searches(fr, searches, None if isinstance(got, str) else got[0])
+        if melt:
+            assert len(searches) == 1 and searches[0] < _rdf_rmax(fr)
+        if not isinstance(got, str):
+            _check_pairs(fr, *got)
     assert outcome(auto_cutoff, frames[-1]).startswith("no pairs found")
 
 
-def test_auto_cutoff_bins_a_fixed_width_in_spacings():
+def test_auto_cutoff_bins_a_fixed_width_in_spacings(searches):
     """Noisy FCC gets one cutoff, to one bin, at N = 4000 and N = 48 668,
     where rmax spans 7.9 and 18.2 mean spacings.  With RDF_BINS bins out to
     rmax whatever its span, the larger frame took a second-shell cutoff of
@@ -376,8 +404,9 @@ def test_auto_cutoff_bins_a_fixed_width_in_spacings():
     cuts, widths = [], []
     for cells in (10, 23):
         fr = make_lattice("fcc", cells, noise=0.03, seed=1)
+        searches.clear()
         rc, pairs = auto_cutoff(fr)
-        assert pairs is not None  # from the capped search
+        assert len(searches) == 1  # the first reach holds the minimum
         cuts.append(rc)
         widths.append(_rdf_rmax(fr) / _rdf_bins(fr))
     assert _rdf_bins(fr) > snapshot.RDF_BINS
@@ -561,16 +590,17 @@ def test_reader_falls_back_to_the_line_loop(tmp_path):
         read_frames(p)
 
 
-def _clusters():
-    """16 particles within 0.05 of each site of a 3x3x3 grid of spacing 1:
-    from the first peak to the cap, at 0.79, the RDF is empty."""
+def _clusters(m=3):
+    """16 particles within 0.05 of each site of a periodic m x m x m grid of
+    spacing 1: from the first peak to the first reach, at 0.79, the RDF is
+    empty."""
     rng = np.random.default_rng(5)
-    sites = np.stack(np.meshgrid(*[np.arange(3.0)] * 3, indexing="ij"),
+    sites = np.stack(np.meshgrid(*[np.arange(float(m))] * 3, indexing="ij"),
                      axis=-1).reshape(-1, 1, 3)
     blob = rng.normal(size=(16, 3))
     blob *= 0.05 * rng.uniform(0.2, 1.0, size=(16, 1)) / np.linalg.norm(
         blob, axis=1, keepdims=True)
-    return Frame(positions=(sites + blob).reshape(-1, 3), box=3.0 * np.eye(3))
+    return Frame(positions=(sites + blob).reshape(-1, 3), box=m * np.eye(3))
 
 
 def _random_gas(n):
@@ -590,24 +620,35 @@ _FALLBACKS = {
 
 @pytest.mark.parametrize("branch", list(_FALLBACKS))
 def test_auto_cutoff_fallbacks(searches, branch):
-    """Each way the capped search gives way to the full one at rmax."""
+    """Each way the search reaches rmax: it bins every pair out to rmax, then
+    keeps the pairs of one more search at the cutoff."""
     fr = _FALLBACKS[branch]()
-    if fr.box is not None:
-        volume = abs(np.linalg.det(fr.box))
-    else:
-        volume = float(np.prod(np.ptp(fr.positions, axis=0)))
-    reach = snapshot.RDF_CAP * (volume / fr.n) ** (1.0 / 3.0)
+    reach = snapshot.RDF_CAP * _spacing(fr)
     rmax = _rdf_rmax(fr)
     rc, pairs = auto_cutoff(fr)
-    assert pairs is None
     assert rc == _auto_cutoff_loop(fr)
     if branch == "cap reaches rmax":
-        assert reach >= rmax and searches == [rmax]
+        assert reach >= rmax and searches == [rmax, rc]
     elif branch == "no complete bins":
-        assert volume == 0.0 and searches == [rmax]
-    else:
-        assert searches == [pytest.approx(reach), rmax] and reach < rmax
-    neighbours_cutoff(fr, rc)  # the fallback cutoff is a valid one
+        assert reach == 0.0 and searches == [rmax, rc]
+    else:  # the doubled reach passes rmax
+        assert searches == [reach, rmax, rc] and reach < rmax < 2 * reach
+    _check_searches(fr, searches, rc)
+    _check_pairs(fr, rc, pairs)
+    neighbours_cutoff(fr, rc, pairs)  # the fallback cutoff is a valid one
+
+
+def test_auto_cutoff_doubles_the_reach(searches):
+    """A periodic 6x6x6-site clustered frame holds no RDF minimum within its
+    first reach: the reach doubles once, short of rmax, and gives the cutoff
+    of binning every pair out to rmax."""
+    fr = _clusters(6)
+    assert fr.n == 3456
+    reach = snapshot.RDF_CAP * _spacing(fr)
+    rc, pairs = auto_cutoff(fr)
+    assert searches == [reach, 2 * reach] and 2 * reach < _rdf_rmax(fr)
+    assert rc == _auto_cutoff_loop(fr)
+    _check_pairs(fr, rc, pairs)
 
 
 def test_frame_validation():
