@@ -8,9 +8,10 @@ the line it refuses.  Neighbourhoods come from a cutoff search
 a periodic box) at a given cutoff, or at the first RDF minimum.  auto_cutoff
 bins the pairs the same cell list finds within two mean spacings, doubling
 that reach while it holds no minimum, in bins of a fixed width in spacings
-on a large frame, and returns those within the cutoff it picks, each chunk
-of the search cut at that cutoff before the chunks are joined, so
-neighbours_cutoff builds that frame's lists without a second search.  Each
+on a large frame, and returns those within the cutoff it picks: the first
+reach's chunks, each cut at that cutoff before they are joined, or one
+search at the cutoff after a doubled reach, which only bins; so
+neighbours_cutoff builds that frame's lists without a search of its own.  Each
 particle's bond angles are discretized with the catalog discretizer into the
 catalog's descriptor format: k and the per-class counts f of distinct
 measured angles, with m = f.sum().  The per-particle coefficient uses k and
@@ -295,23 +296,35 @@ def auto_cutoff(frame: Frame):
         nbins = min(math.ceil(RDF_BINS * rmax / (RDF_SPAN * spacing)),
                     max(RDF_BINS, frame.n))
     reach = RDF_CAP * spacing or rmax
-    while (found := _rdf_minimum(pos, box, rmax, nbins,
-                                 min(reach, rmax))) is None:
+    # only a first reach below rmax keeps its chunks (those of a doubled one
+    # grow as its cube); otherwise one more search at r_cut gives the pairs
+    kept = [] if reach < rmax else None
+    while (r_cut := _rdf_minimum(pos, box, rmax, nbins, min(reach, rmax),
+                                 kept)) is None:
         reach *= 2.0
-    return found
+        kept = None
+    if kept is None:
+        kept = [(i, j) for i, j, _ in kernels.pairs_within(pos, box, r_cut)]
+    else:
+        # cut each chunk to its pairs within r_cut before joining them, so
+        # no second copy of every pair within reach is made
+        for c, (i, j, r2) in enumerate(kept):
+            keep = r2 <= r_cut * r_cut
+            kept[c] = i[keep], j[keep]
+    return r_cut, tuple(np.concatenate(a) for a in zip(*kept))
 
 
-def _rdf_minimum(pos, box, rmax, nbins, reach):
-    """auto_cutoff's (r_cut, pairs), binning the pairs within reach <= rmax
-    into nbins bins out to rmax.
+def _rdf_minimum(pos, box, rmax, nbins, reach, kept):
+    """auto_cutoff's r_cut, binning the pairs within reach <= rmax into nbins
+    bins out to rmax, and appending the search's (i, j, r2) chunks to kept
+    unless it is None.
 
     Below rmax, the smoothed g(r) is read only where its 5-bin window lies
     in bins wholly below reach: the peak is taken among those bins, and a
     minimum needs its right neighbour read too.  Too few such bins, or no
-    minimum among them, give None; otherwise the pairs are the chunks of the
-    search, each cut at r_cut.  At rmax every bin is read: no pairs raise
-    ValueError, no minimum gives the bin nbins // 10 past the peak, and the
-    pairs come from a second search at r_cut, so no pair out to rmax is held.
+    minimum among them, give None.  At rmax every bin is read: no pairs
+    raise ValueError, and no minimum gives the bin nbins // 10 past the
+    peak.
     """
     edges = np.histogram_bin_edges([], nbins, range=(0.0, rmax))
     capped = reach < rmax
@@ -320,10 +333,9 @@ def _rdf_minimum(pos, box, rmax, nbins, reach):
     if top < 3:
         return None
     hist = np.zeros(nbins, dtype=np.int64)
-    kept = []
     for i, j, r2 in kernels.pairs_within(pos, box, reach):
         hist += np.histogram(np.sqrt(r2), nbins, range=(0.0, rmax))[0]
-        if capped:
+        if kept is not None:
             kept.append((i, j, r2))
     if not capped and not hist.any():
         raise ValueError("no pairs found; cannot estimate a cutoff")
@@ -333,18 +345,9 @@ def _rdf_minimum(pos, box, rmax, nbins, reach):
     peak = int(np.argmax(g[:top]))
     r_cut = next((float(centers[i]) for i in range(peak + 1, top - 1)
                   if g[i] <= g[i - 1] and g[i] < g[i + 1]), None)
-    if not capped:
-        if r_cut is None:
-            r_cut = float(centers[min(peak + nbins // 10, nbins - 1)])
-        kept = list(kernels.pairs_within(pos, box, r_cut))
-    elif r_cut is None:
-        return None
-    # cut each chunk to its pairs within r_cut before joining them, so no
-    # second copy of every pair within reach is made
-    for c, (i, j, r2) in enumerate(kept):
-        keep = r2 <= r_cut * r_cut
-        kept[c] = i[keep], j[keep]
-    return r_cut, tuple(np.concatenate(a) for a in zip(*kept))
+    if r_cut is None and not capped:
+        r_cut = float(centers[min(peak + nbins // 10, nbins - 1)])
+    return r_cut
 
 
 def _coefficient(kk, mm):

@@ -321,12 +321,15 @@ def _spacing(frame):
 
 def _check_searches(frame, radii, r_cut=None):
     """The pair searches of one auto_cutoff call: reaches RDF_CAP * s * 2^k,
-    k increasing, clipped to rmax, which comes only last; after rmax, one
-    search at the cutoff r_cut (None when auto_cutoff raised)."""
+    k increasing, clipped to rmax, which comes only last; unless the first
+    reach, below rmax, held the cutoff r_cut (None when auto_cutoff raised),
+    one more search at r_cut."""
     rmax = _rdf_rmax(frame)
-    if r_cut is not None and rmax in radii:
+    if r_cut is not None and len(radii) > 1:
         assert radii[-1] == r_cut
         radii = radii[:-1]
+    else:
+        assert r_cut is None or radii[0] < rmax
     reach = snapshot.RDF_CAP * _spacing(frame)
     reaches = {reach * 2.0 ** k for k in range(64)} | {rmax}
     assert radii and radii == sorted(set(radii))
@@ -641,14 +644,37 @@ def test_auto_cutoff_fallbacks(searches, branch):
 def test_auto_cutoff_doubles_the_reach(searches):
     """A periodic 6x6x6-site clustered frame holds no RDF minimum within its
     first reach: the reach doubles once, short of rmax, and gives the cutoff
-    of binning every pair out to rmax."""
+    of binning every pair out to rmax; the pairs come from one more search
+    at that cutoff."""
     fr = _clusters(6)
     assert fr.n == 3456
     reach = snapshot.RDF_CAP * _spacing(fr)
     rc, pairs = auto_cutoff(fr)
-    assert searches == [reach, 2 * reach] and 2 * reach < _rdf_rmax(fr)
+    assert searches == [reach, 2 * reach, rc] and 2 * reach < _rdf_rmax(fr)
     assert rc == _auto_cutoff_loop(fr)
     _check_pairs(fr, rc, pairs)
+
+
+def test_auto_cutoff_widened_working_set_is_bounded():
+    """A doubled reach only bins its pairs: the tracemalloc peak of
+    auto_cutoff on the 10x10x10-site clustered frame (N = 16 000, 151 pairs
+    per particle within the doubled reach, 7.5 within r_cut) stays within
+    the bound of test_auto_cutoff_working_set_is_bounded.
+
+    Measured 428 B per particle with numpy 2.4, against 3812 B when the
+    doubled reach's chunks were held until its RDF was read.
+    """
+    import tracemalloc
+
+    fr = _clusters(10)
+    tracemalloc.start()
+    try:
+        r_cut, pairs = auto_cutoff(fr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(pairs[0]) == 7.5 * fr.n == 120000
+    assert peak < 800 * fr.n
 
 
 def test_frame_validation():
