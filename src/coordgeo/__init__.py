@@ -7,8 +7,8 @@ the resulting metric space (clustering, MDS, typicality), and applies the
 machinery to classify local structure in particle snapshots.
 """
 
-from .angles import (AnglePool, AngleProfile, Discretizer, bond_angles,
-                     collect_pool, derive_discretizer, discretize, profile)
+from .angles import (AnglePool, Discretizer, bond_angles, collect_pool,
+                     derive_discretizer, discretize)
 from .catalog import (CAPPING_RELATION, CODES, TAXONOMY, Catalog, GeometrySpec,
                       build_catalog, build_geometry, capping_reduced_set)
 from .coefficients import (ParticleDescriptor, check_loose_bounds,

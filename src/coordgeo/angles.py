@@ -12,9 +12,6 @@ inherent angle, 0 is prepended by convention, and bin edges are placed in the
 gaps between consecutive clusters.  Placing edges in the gaps (rather than
 midway between cluster representatives) guarantees that every kept value is
 binned with its own cluster even when clusters are lopsided.
-
-A geometry's angle profile is its vector f of per-class distinct-angle
-counts; with the bond count k it is the descriptor that d_E reads.
 """
 
 from __future__ import annotations
@@ -24,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import Catalog, GeometrySpec, capping_reduced_set
+from .catalog import Catalog, capping_reduced_set
 
 __all__ = [
     "bond_angles",
@@ -34,8 +31,6 @@ __all__ = [
     "Discretizer",
     "derive_discretizer",
     "discretize",
-    "AngleProfile",
-    "profile",
 ]
 
 DISTINCT_TOL = 1e-6  # degrees; separates ideal angles from float noise
@@ -197,41 +192,3 @@ def discretize(angle: float, d: Discretizer) -> float:
     return float(d.inherent_angles[cls]) if np.ndim(cls) == 0 else \
         d.inherent_angles[cls]
 
-
-@dataclass(frozen=True)
-class AngleProfile:
-    """Discretized angle content of one geometry.
-
-    f[c] counts the distinct ideal angles that fall into angle class c, an
-    int array over all classes of the discretizer (close yet unequal angles
-    merged by one bin keep their own count); m = f.sum() is the number of
-    distinct ideal angles.  Measured particles have the same per-class count
-    vectors (kernels.profile_particles), so one d_E formula serves both.
-    """
-
-    geometry_code: str
-    f: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "f", np.asarray(self.f, dtype=np.int64))
-
-    def __eq__(self, other):
-        # the generated __eq__ would take the truth value of an array
-        return (isinstance(other, AngleProfile)
-                and self.geometry_code == other.geometry_code
-                and np.array_equal(self.f, other.f))
-
-    @property
-    def m(self) -> int:
-        return int(self.f.sum())
-
-    @property
-    def class_count(self) -> int:
-        return int(np.count_nonzero(self.f))
-
-
-def profile(g: GeometrySpec, d: Discretizer) -> AngleProfile:
-    """Profile of an ideal geometry under a discretizer."""
-    cls = d.classify(distinct_values(bond_angles(g.vertices)))
-    return AngleProfile(geometry_code=g.code,
-                        f=np.bincount(cls, minlength=d.n_classes))

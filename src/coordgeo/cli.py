@@ -155,7 +155,7 @@ def cmd_table(args):
     rows = []
     for g in catalog.geometries:
         d = descriptor(g, disc)
-        rows.append((g.code, g.k, d.profile.m, e_one(d),
+        rows.append((g.code, g.k, d.m, e_one(d),
                      sphericity(g.vertices), moment_per_neighbour(g.vertices),
                      tau[g.code]))
     rows.sort(key=lambda r: (r[3], r[0]))

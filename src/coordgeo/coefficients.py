@@ -9,10 +9,10 @@ number of close-yet-unequal ideal angles any one particle merges into it;
 this keeps the union consistent with the per-particle distinct-angle counts
 and makes the induced distance vanish exactly on identical descriptors.
 
-A descriptor is a bond count k plus the per-class distinct-angle counts f
-(angles.AngleProfile); m = f.sum().  distances evaluates d_E over arrays of
-(k, f), and serves both the catalog distance matrix and the labels of
-measured particles; the scalar functions keep one descriptor at a time.
+A descriptor is a bond count k plus the per-class distinct-angle counts f;
+m = f.sum().  distances evaluates d_E over arrays of (k, f), and serves both
+the catalog distance matrix and the labels of measured particles; the scalar
+functions keep one ParticleDescriptor at a time.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angles import AngleProfile, Discretizer, profile as angle_profile
+from .angles import Discretizer, bond_angles, distinct_values
 from .catalog import GeometrySpec
 
 __all__ = [
@@ -42,29 +42,51 @@ _EQ_TOL = 1e-12
 
 @dataclass(frozen=True)
 class ParticleDescriptor:
-    """Bond count plus discretized angle profile of one particle."""
+    """Bond count k and per-class distinct-angle counts f of one particle.
+
+    f[c] counts the distinct angles that fall into angle class c, an int
+    array over all classes of the discretizer (close yet unequal angles
+    merged by one bin keep their own count); m = f.sum().  Measured
+    particles have the same (k, f) (kernels.profile_particles), so one d_E
+    formula serves both.
+    """
 
     k: int
-    profile: AngleProfile
+    f: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "f", np.asarray(self.f, dtype=np.int64))
         if self.k < 2:
             raise ValueError("descriptor requires at least two bonds")
-        if self.profile.m < 1:
+        if self.m < 1:
             raise ValueError("descriptor requires at least one angle class")
-        if self.profile.m > self.k * (self.k - 1) // 2:
+        if self.m > self.k * (self.k - 1) // 2:
             raise ValueError("more distinct angles than bond pairs")
+
+    def __eq__(self, other):
+        # the generated __eq__ would take the truth value of an array
+        return (isinstance(other, ParticleDescriptor) and self.k == other.k
+                and np.array_equal(self.f, other.f))
+
+    @property
+    def m(self) -> int:
+        return int(self.f.sum())
+
+
+def _angle_counts(g: GeometrySpec, d: Discretizer) -> np.ndarray:
+    return np.bincount(d.classify(distinct_values(bond_angles(g.vertices))),
+                       minlength=d.n_classes)
 
 
 def descriptor(g: GeometrySpec, d: Discretizer) -> ParticleDescriptor:
     """Descriptor of an ideal catalog geometry under a discretizer."""
-    return ParticleDescriptor(k=g.k, profile=angle_profile(g, d))
+    return ParticleDescriptor(k=g.k, f=_angle_counts(g, d))
 
 
 def descriptor_arrays(geometries, d: Discretizer):
     """(k, f) of ideal geometries: bond counts and per-class count rows."""
     k = np.array([g.k for g in geometries], dtype=np.int64)
-    f = np.array([angle_profile(g, d).f for g in geometries], dtype=np.int64)
+    f = np.array([_angle_counts(g, d) for g in geometries], dtype=np.int64)
     return k, f
 
 
@@ -74,13 +96,13 @@ def _log2_pairs(k: int) -> float:
 
 def e_one(p: ParticleDescriptor) -> float:
     """One-particle coefficient log2((k^2-k)/(2m)), in bits."""
-    return _log2_pairs(p.k) - math.log2(2.0 * p.profile.m)
+    return _log2_pairs(p.k) - math.log2(2.0 * p.m)
 
 
 def _union_cardinality(parts, union_mode: str) -> int:
     # corrected: per class, the largest count any one part merges into it;
     # raw: the number of classes any part hits
-    best = np.maximum.reduce([p.profile.f for p in parts])
+    best = np.maximum.reduce([p.f for p in parts])
     if union_mode == "corrected":
         return int(best.sum())
     if union_mode == "raw":
@@ -121,9 +143,9 @@ def check_loose_bounds(parts, union_mode: str = "corrected") -> bool:
     parts = list(parts)
     joint = e_many(parts, union_mode)
     upper = max(_log2_pairs(p.k) for p in parts) \
-        - math.log2(2.0 * min(p.profile.m for p in parts))
+        - math.log2(2.0 * min(p.m for p in parts))
     lower = min(_log2_pairs(p.k) for p in parts) \
-        - math.log2(2.0 * sum(p.profile.m for p in parts))
+        - math.log2(2.0 * sum(p.m for p in parts))
     return lower - _EQ_TOL <= joint <= upper + _EQ_TOL
 
 

@@ -73,6 +73,8 @@ class Frame:
             raise ValueError("non-finite coordinates")
         if self.box is not None:
             self.box = np.asarray(self.box, dtype=float).reshape(3, 3)
+            if not np.isfinite(self.box).all():
+                raise ValueError("non-finite periodic box")
             if abs(np.linalg.det(self.box)) < 1e-12:
                 raise ValueError("singular periodic box")
         if self.species is not None and len(self.species) != len(self.positions):

@@ -50,6 +50,15 @@ class DistanceMatrix:
         return float(self.d[self.codes.index(a), self.codes.index(b)])
 
 
+def _require_finite(d: np.ndarray, codes=None) -> None:
+    """ValueError naming the first non-finite entry of a distance matrix."""
+    bad = np.argwhere(~np.isfinite(d))
+    if len(bad):
+        i, j = bad[0]
+        at = f"d[{i}, {j}]" if codes is None else f"d({codes[i]},{codes[j]})"
+        raise ValueError(f"non-finite distance {at} = {d[i, j]}")
+
+
 def distance_matrix(catalog: Catalog, disc: Discretizer) -> DistanceMatrix:
     """Pairwise distances between all catalog geometries (coefficients.distances)."""
     k, f = descriptor_arrays(catalog.geometries, disc)
@@ -75,9 +84,11 @@ def verify_metric(dm: DistanceMatrix, tol: float = 1e-9) -> MetricReport:
     """Check identity of indiscernibles, symmetry and the triangle inequality.
 
     The triangle inequality is checked over every ordered triple of distinct
-    indices; the report records the worst slack d(a,b)+d(b,c)-d(a,c).
+    indices; the report records the worst slack d(a,b)+d(b,c)-d(a,c).  A
+    non-finite entry, which no comparison would report, raises ValueError.
     """
     d = dm.d
+    _require_finite(d, dm.codes)
     n = len(d)
     failures = []
     max_diag = float(np.abs(np.diag(d)).max())
@@ -209,15 +220,14 @@ def hierarchical_cluster(dm: DistanceMatrix) -> Dendrogram:
     the Lance-Williams average (n_i d_i + n_j d_j) / (n_i + n_j) into the new
     cluster's row and column.  Ties between candidate pairs are broken by the
     lexicographically smallest leaf codes of the two clusters, then by their
-    ids.  Reads the upper triangle of dm.d; ValueError if it is not finite.
+    ids.  Reads the upper triangle of dm.d; ValueError if dm.d is not finite.
     """
     n = len(dm.codes)
     iu = np.triu_indices(n, 1)
-    d_up = np.asarray(dm.d, dtype=float)[iu]
-    if not np.isfinite(d_up).all():
-        raise ValueError("non-finite distance in the matrix to cluster")
+    d = np.asarray(dm.d, dtype=float)
+    _require_finite(d, dm.codes)
     dist = np.full((2 * n - 1, 2 * n - 1), np.inf)
-    dist[iu] = dist[iu[::-1]] = d_up
+    dist[iu] = dist[iu[::-1]] = d[iu]
     size = np.ones(2 * n - 1, dtype=np.int64)
     rank = {c: r for r, c in enumerate(sorted(set(dm.codes)))}
     smallest = np.array([rank[c] for c in dm.codes] + [0] * (n - 1))
@@ -348,14 +358,18 @@ def mds(dm, dims: int = 8, seed: int = 0, restarts: int = 20,
     One start from the classical (eigendecomposition) solution plus seeded
     random restarts, iterated together as one stack; returns the
     lowest-stress result.  The per-iteration stress trace of the winning run
-    is kept for the majorization guarantee.  A d that is not exactly
-    symmetric raises ValueError.
+    is kept for the majorization guarantee.  A d that is not finite or not
+    exactly symmetric raises ValueError.
     """
     if dims < 1:
         raise ValueError("dims must be positive")
     if restarts < 1:
         raise ValueError("restarts must be positive")
-    d = dm.d if isinstance(dm, DistanceMatrix) else np.asarray(dm, dtype=float)
+    if isinstance(dm, DistanceMatrix):
+        d, codes = dm.d, dm.codes
+    else:
+        d, codes = np.asarray(dm, dtype=float), None
+    _require_finite(d, codes)
     if not np.array_equal(d, d.T):
         raise ValueError("distance matrix must be exactly symmetric")
     rng = np.random.default_rng(seed)

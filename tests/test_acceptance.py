@@ -40,7 +40,7 @@ def test_criterion_01_table_reproduction(catalog, discretizer):
         g = catalog.get(code)
         d = descriptor(g, discretizer)
         assert g.k == k, code
-        assert d.profile.m == m, code
+        assert d.m == m, code
         assert abs(e_one(d) - e_pub) <= 0.0005, code
     elapsed = time.monotonic() - t0
     assert elapsed < 1.0

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 import coordgeo as cg
 from coordgeo.angles import (AnglePool, bond_angles, derive_discretizer,
-                             discretize, distinct_values, profile)
+                             discretize, distinct_values)
+from coordgeo.coefficients import descriptor
 
 from published import TABLE
 
@@ -221,13 +222,13 @@ def test_discretize_monotone(angles):
 
 @pytest.mark.parametrize("code", list(TABLE))
 def test_profile_m_matches_published(catalog, discretizer, code):
-    p = profile(catalog.get(code), discretizer)
+    p = descriptor(catalog.get(code), discretizer)
     assert p.m == TABLE[code][1]
     assert p.f.shape == (discretizer.n_classes,)
     assert p.m == p.f.sum()
-    assert p.class_count == np.count_nonzero(p.f) <= p.m
-    assert p == profile(catalog.get(code), discretizer)
-    assert p != profile(catalog.get("TET"), discretizer) or code == "TET"
+    assert np.count_nonzero(p.f) <= p.m
+    assert p == descriptor(catalog.get(code), discretizer)
+    assert p != descriptor(catalog.get("TET"), discretizer) or code == "TET"
 
 
 def test_profile_pair_count_consistency(catalog, discretizer):
@@ -240,7 +241,7 @@ def test_profile_pair_count_consistency(catalog, discretizer):
 
 
 def test_profile_sds_merges_close_angles(catalog, discretizer):
-    p = profile(catalog.get("SDS"), discretizer)
+    p = descriptor(catalog.get("SDS"), discretizer)
     assert p.m == 6
     assert p.f.max() > 1  # two distinct ideal angles share one class
 
@@ -248,7 +249,7 @@ def test_profile_sds_merges_close_angles(catalog, discretizer):
 def test_afflicted_families(catalog, discretizer):
     # the capped pentagonal prisms and square antiprisms also merge ideals
     for code in ("CPP", "BPP", "CSA", "BSA"):
-        p = profile(catalog.get(code), discretizer)
+        p = descriptor(catalog.get(code), discretizer)
         assert p.f.max() > 1, code
 
 

@@ -418,6 +418,18 @@ def test_analyze_huge_rcut_on_open_frame_fails(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("rcut", [["--rcut", "0.85"], []])
+def test_analyze_non_finite_box_fails(tmp_path, capsys, rcut):
+    """A NaN box entry passes a determinant test; it is refused at its line
+    on both cutoff paths, before any pair search or RDF."""
+    xyz = tmp_path / "nanbox.extxyz"
+    xyz.write_text('1\nLattice="3 nan 0 0 3 0 0 0 3"\nX 0 0 0\n')
+    out = tmp_path / "nb.csv"
+    assert _run(["analyze", str(xyz), *rcut, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {xyz}:2: non-finite periodic box\n"
+    assert not out.exists()
+
+
 def test_nan_epsilon_fails(tmp_path, capsys):
     out = tmp_path / "disc.json"
     assert _run(["inherent-angles", "--epsilon", "nan", "--out", str(out)]) == 1

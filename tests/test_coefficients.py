@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import coordgeo as cg
-from coordgeo.angles import AngleProfile
 from coordgeo.coefficients import (ParticleDescriptor, check_loose_bounds,
                                    check_upper_bound, d_e, descriptor,
                                    distances, e_many, e_one)
@@ -16,8 +15,7 @@ from published import TABLE
 
 def _desc(k, m):
     # synthetic descriptor with m singleton classes
-    return ParticleDescriptor(k=k, profile=AngleProfile(geometry_code="?",
-                                                        f=np.ones(m)))
+    return ParticleDescriptor(k=k, f=np.ones(m))
 
 
 @pytest.fixture(scope="module")
@@ -39,6 +37,27 @@ def test_e_one_published_all(descs, code):
 def test_e_one_rejects_low_k():
     with pytest.raises(ValueError):
         _desc(1, 1)
+
+
+@pytest.mark.parametrize("k, f, why", [
+    (4, [0, 0, 0], "at least one angle class"),
+    (3, [1, 2, 1], "more distinct angles than bond pairs"),
+])
+def test_descriptor_rejects_bad_angle_count(k, f, why):
+    with pytest.raises(ValueError, match=why):
+        ParticleDescriptor(k=k, f=f)
+    # m = k(k-1)/2, every bond pair its own angle, is allowed
+    assert ParticleDescriptor(k=k, f=[1] * (k * (k - 1) // 2)).m == k * (k - 1) // 2
+
+
+def test_descriptor_equality_is_by_value():
+    d = ParticleDescriptor(k=4, f=[1, 1, 0])
+    assert d.f.dtype == np.int64
+    assert d == ParticleDescriptor(k=4, f=np.array([1.0, 1.0, 0.0]))
+    assert d != ParticleDescriptor(k=5, f=[1, 1, 0])
+    assert d != ParticleDescriptor(k=4, f=[1, 0, 1])
+    assert d != ParticleDescriptor(k=4, f=[1, 1, 0, 0])
+    assert d != (4, [1, 1, 0])
 
 
 def test_e_many_single_recovers_e_one(descs):
@@ -122,7 +141,7 @@ def test_d_e_raw_mode_zero_diagonal(descs):
 def test_raw_union_counts_classes(descs):
     # raw mode counts the classes hit, not the distinct angles in them
     for d in descs.values():
-        want = math.log2(d.k * d.k - d.k) - math.log2(2.0 * d.profile.class_count)
+        want = math.log2(d.k * d.k - d.k) - math.log2(2.0 * np.count_nonzero(d.f))
         assert e_many([d], union_mode="raw") == pytest.approx(want, abs=1e-12)
     assert e_many([descs["SDS"]], union_mode="raw") > e_one(descs["SDS"])
 
@@ -149,7 +168,7 @@ def test_distances_match_scalar_d_e(seed, na, nb):
                                   np.full(8, 0.125)) for ki in k])
     dup = rng.integers(0, na + nb, size=2)
     k[dup[0]], f[dup[0]] = k[dup[1]], f[dup[1]]
-    descs = [ParticleDescriptor(k=int(ki), profile=AngleProfile("?", fi))
+    descs = [ParticleDescriptor(k=int(ki), f=fi)
              for ki, fi in zip(k, f)]
     got = distances(k[:na], f[:na], k[na:], f[na:])
     assert got.shape == (na, nb)

@@ -79,12 +79,15 @@ def test_read_truncated_frame(tmp_path):
     ('1\nLattice="1 0 0 0 1 0 0 0\" x\nX 0 0 0\n', 2, "9 numbers"),
     ('1\nLattice="1 0 0 0 1 0 0 0 q"\nX 0 0 0\n', 2, "could not convert"),
     ('1\nLattice="1 0 0 0 1 0 0 0 0"\nX 0 0 0\n', 2, "singular periodic box"),
+    ('1\nLattice="3 nan 0 0 3 0 0 0 3"\nX 0 0 0\n', 2, "non-finite periodic box"),
+    ('1\nLattice="3 0 0 0 inf 0 0 0 3"\nX 0 0 0\n', 2, "non-finite periodic box"),
     ("1\nc\nX 0 0 0\n2\nc\nX 0 0 0\nX 0 nan 0\n", 7, "non-finite coordinates"),
     ("1\nc\nX 0 0 0\n2\nc\nX 0 0 0\nX 0 inf\n", 7, "expected 'symbol x y z'"),
     ("1\nc\nX 0 0 0\n\n0\nc\n", 5, "positive atom count"),
     ("2\nX 0 0 0\nX 1 0 nan\n", 3, "non-finite coordinates"),
 ], ids=["float", "unterminated-lattice", "short-lattice", "lattice-float",
-        "singular-box", "nan", "short-record", "zero-count", "nan-no-comment"])
+        "singular-box", "nan-box", "inf-box", "nan", "short-record",
+        "zero-count", "nan-no-comment"])
 def test_read_errors_name_the_line(tmp_path, text, where, what):
     p = tmp_path / "bad.xyz"
     p.write_text(text)

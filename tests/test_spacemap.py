@@ -60,6 +60,15 @@ def test_metric_detects_zero_off_diagonal():
     assert not rep.identity_ok
 
 
+def test_metric_refuses_a_non_finite_entry(dmatrix):
+    """Every comparison with NaN is false, so no failing triple is found."""
+    d = dmatrix.d.copy()
+    d[3, 7] = d[7, 3] = np.nan
+    a, b = dmatrix.codes[3], dmatrix.codes[7]
+    with pytest.raises(ValueError, match=rf"non-finite distance d\({a},{b}\) = nan"):
+        verify_metric(DistanceMatrix(codes=dmatrix.codes, d=d))
+
+
 def _upgma_dict(dm):
     """Reference UPGMA: a dict of pair distances and a scan of every active
     pair per merge, which the array version must reproduce exactly."""
@@ -195,6 +204,17 @@ def test_mds_refuses_an_asymmetric_matrix(dmatrix):
         mds(d, dims=2, restarts=1)
     d[7, 3] = d[3, 7]
     assert mds(d, dims=2, restarts=1).coords.shape == (22, 2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_mds_refuses_a_non_finite_entry(dmatrix, bad):
+    d = dmatrix.d.copy()
+    d[3, 7] = d[7, 3] = bad
+    with pytest.raises(ValueError, match=rf"non-finite distance d\[3, 7\] = {bad}"):
+        mds(d, dims=2, restarts=1)
+    a, b = dmatrix.codes[3], dmatrix.codes[7]
+    with pytest.raises(ValueError, match=rf"non-finite distance d\({a},{b}\)"):
+        mds(DistanceMatrix(codes=dmatrix.codes, d=d), dims=2, restarts=1)
 
 
 def test_mds_stress_decreases_with_dims(dmatrix):
