@@ -14,10 +14,10 @@ kept alike.  The O(N^2) brute force is only the test reference.  The angle
 profile runs over row_blocks, blocks of consecutive CSR rows, and within a
 block it is batched by coordination number k: one np.take gather and one
 minimum-image step for the block's bond vectors, then stacked Gram matrices
-per k, their rows gathered by np.take.  The bins that hold a
-gap above VALUE_RESOLUTION are described by their gaps and cluster sizes and
-merged all at once per block, one call per gap count, each round removing one
-gap from every row still merging.  A particle's profile is the catalog's
+per k, their rows gathered by np.take.  Each chunk's distinct angles come
+from one closed form over its clusters, for every gap count at once
+(_distinct_counts); only bins holding equal gaps one or two apart go through
+the greedy rounds of _merge_clusters.  A particle's profile is the catalog's
 descriptor format, (k, per-class distinct-angle counts), so classification
 takes d_E from coefficients.distances, the function that builds the distance
 matrix.  One constant, _BUDGET, bounds the temporaries of every step: the
@@ -208,13 +208,10 @@ def profile_particles(pos, box, starts, idx, edges, first=0):
     Batched by coordination number: the rows' bond vectors are taken in one
     minimum-image step, and for each k >= 2 the rows of that k are stacked
     into (R, k, 3) for one batched Gram matrix, arccos, row sort and binning,
-    in row chunks of about _BUDGET angles.  Every occupied bin counts one
-    distinct angle.  A bin whose sorted values hold a gap above
-    VALUE_RESOLUTION is a gapped run: _gapped_runs describes each by its gaps
-    and cluster sizes, and _merge_runs merges the rows' gapped runs at once.
-    m is the row sum of the counts.  A row's result depends on that row
-    alone.  A zero-length bond (two coincident particles) raises ValueError
-    naming the lowest such particle.
+    in row chunks of about _BUDGET angles; _distinct_counts counts each
+    chunk's distinct angles per bin.  m is the row sum of the counts.  A
+    row's result depends on that row alone.  A zero-length bond (two
+    coincident particles) raises ValueError naming the lowest such particle.
     """
     pos = np.ascontiguousarray(pos, dtype=np.float64)
     edges = np.ascontiguousarray(edges, dtype=np.float64)
@@ -239,8 +236,6 @@ def profile_particles(pos, box, starts, idx, edges, first=0):
         raise ValueError(f"particle {owner} coincides with particle "
                          f"{idx[b]} (zero-length bond)")
     vec /= length[:, None]
-    flat = fcounts.reshape(-1)
-    runs = []  # (particle, bin, gap count, gaps, cluster sizes) per chunk
     for k in np.unique(kk[kk >= 2]).tolist():
         iu, ju = np.triu_indices(k, 1)
         rows = np.flatnonzero(kk == k)
@@ -251,45 +246,83 @@ def profile_particles(pos, box, starts, idx, edges, first=0):
             gram = np.clip((v @ v.transpose(0, 2, 1))[:, iu, ju], -1.0, 1.0)
             ang = np.sort(np.degrees(np.arccos(gram)), axis=1)
             cls = np.searchsorted(edges, ang, side="left")
-            flat[(r * nbins)[:, None] + cls] = 1
-            row, c, ngaps, gaps, sizes = _gapped_runs(ang, cls)
-            runs.append((r[row], c, ngaps, gaps, sizes))
-    if runs:
-        particle, c, ngaps, gaps, sizes = (np.concatenate(a) for a in zip(*runs))
-        fcounts[particle, c] = _merge_runs(ngaps, gaps, sizes)
+            fcounts[r] = _distinct_counts(ang, cls, nbins)
     return kk, fcounts
 
 
-def _gapped_runs(ang, cls):
-    """The runs of ang holding a gap above VALUE_RESOLUTION, one per bin and row.
+def _distinct_counts(ang, cls, nbins):
+    """Distinct-angle count per row and bin, (R, nbins), of sorted rows ang
+    whose values lie in bins cls.
 
-    ang holds sorted rows and cls their bins, so each bin of a row is one run
-    of equal cls; its gaps above VALUE_RESOLUTION split it into clusters.
-    Returns, per gapped run, the row, the bin and the gap count G, then the
-    gaps and the cluster sizes of all runs concatenated in run order (G and
-    G + 1 values per run).
+    A bin's values split into clusters where a step exceeds VALUE_RESOLUTION;
+    such a step is a finite gap, and bin and row edges are infinite ones.
+    _merge_clusters removes gaps one at a time, the smallest qualifying one
+    first.  Without ties its result has a closed form, taken here for every
+    gap count at once.  A cluster's nearer gap is its left one if strictly
+    smaller, else its right one.
+    (i) A singleton, and a cluster of two whose nearer gap is at most
+        2 * VALUE_RESOLUTION, removes its nearer gap.
+    (ii) Two adjacent singletons whose nearer gaps are the gap between them
+        form a pair, which then removes its nearer outer gap if that is at
+        most 2 * VALUE_RESOLUTION.
+    A cluster of three or more never proposes a gap, and a cluster's other
+    gap can go before its nearer one only if the two are equal, or, for a
+    pair, if its outer gaps are; so every removal above happens, and no
+    other.  A bin holding equal finite gaps one or two apart goes through
+    _merge_runs instead.
     """
-    same = cls[:, 1:] == cls[:, :-1]
-    row, t = np.nonzero(same & (np.diff(ang, axis=1) > VALUE_RESOLUTION))
-    width = ang.shape[1]
-    first = np.ones(ang.shape, dtype=bool)
-    first[:, 1:] = ~same
-    begin = np.append(np.flatnonzero(first), first.size)
-    # the flat index of the value after each gap, and the run holding it
-    after = row * width + t + 1
-    run = np.searchsorted(begin, after, side="right") - 1
-    slow, ngaps = np.unique(run, return_counts=True)
-    # runs are disjoint and ascending, so the sorted cluster starts and ends
-    # pair up: each run gives G + 1 of each
-    lo = np.sort(np.concatenate([begin[slow], after]))
-    hi = np.sort(np.concatenate([after, begin[slow + 1]]))
-    flat = ang.ravel()
-    return (begin[slow] // width, cls.ravel()[begin[slow]], ngaps,
-            flat[after] - flat[after - 1], hi - lo)
+    far = 2.0 * VALUE_RESOLUTION
+    n, width = ang.shape
+    flat, cls = ang.ravel(), cls.ravel()
+    # the step before each value, inf at a bin or row edge
+    before = np.empty(len(flat))
+    np.subtract(flat[1:], flat[:-1], out=before[1:])
+    before[np.flatnonzero(cls[1:] != cls[:-1]) + 1] = np.inf
+    before[::width] = np.inf
+    start = np.flatnonzero(before > VALUE_RESOLUTION)
+    left = before[start]
+    right = np.empty_like(left)
+    right[:-1] = left[1:]
+    right[-1] = np.inf
+    size = np.empty_like(start)
+    np.subtract(start[1:], start[:-1], out=size[:-1])
+    size[-1] = len(flat) - start[-1]
+    take_left = left < right
+    near = np.minimum(left, right)
+    one = size == 1
+    rule_i = (one & (near < np.inf)) | ((size == 2) & (near <= far))
+    # alive[c]: the gap left of cluster c stays, so c adds a distinct angle;
+    # under (i), c removes it by taking its left gap, c - 1 its right one
+    alive = ~(rule_i & take_left)
+    alive[1:] &= ~(rule_i[:-1] & ~take_left[:-1])
+    # (ii): singletons c and c + 1, each nearest the other
+    pair = np.flatnonzero(one[:-1] & one[1:] & ~take_left[:-1] & take_left[1:])
+    outer_l, outer_r = left[pair], right[pair + 1]
+    go = np.minimum(outer_l, outer_r) <= far
+    alive[(pair + 2 * (outer_l >= outer_r))[go]] = False
+    keep = start[alive]
+    counts = np.bincount(keep // width * nbins + cls[keep],
+                         minlength=n * nbins)
+    # equal finite gaps one or two apart in one bin
+    finite = left < np.inf
+    tie = np.zeros(len(start), dtype=bool)
+    tie[1:] = finite[1:] & (left[1:] == left[:-1])
+    tie[2:] |= finite[2:] & finite[1:-1] & (left[2:] == left[:-2])
+    if tie.any():
+        run = np.cumsum(~finite)
+        sel = np.isin(run, run[tie])
+        head = ~finite[sel]  # the first cluster of each tied bin
+        ngaps = np.diff(np.append(np.flatnonzero(head), len(head))) - 1
+        first = start[sel][head]
+        counts[first // width * nbins + cls[first]] = _merge_runs(
+            ngaps, left[sel][~head], size[sel])
+    return counts.reshape(n, nbins)
 
 
 def _merge_runs(ngaps, gaps, sizes):
-    """Distinct-angle count of each gapped run, from _gapped_runs' layout.
+    """Distinct-angle count of each run of clusters: ngaps holds each run's
+    gap count G, gaps and sizes its G gaps and G + 1 cluster sizes, all runs
+    concatenated in order.
 
     The runs are grouped by gap count G and each group goes through
     _merge_clusters at once.

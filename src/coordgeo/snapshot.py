@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -75,7 +76,10 @@ class Frame:
             self.box = np.asarray(self.box, dtype=float).reshape(3, 3)
             if not np.isfinite(self.box).all():
                 raise ValueError("non-finite periodic box")
-            if abs(np.linalg.det(self.box)) < 1e-12:
+            # against the volume of a box of the same edge lengths, so that
+            # the test does not depend on the unit of length
+            lengths = np.prod(np.linalg.norm(self.box, axis=1))
+            if abs(np.linalg.det(self.box)) <= 1e-12 * lengths:
                 raise ValueError("singular periodic box")
         if self.species is not None and len(self.species) != len(self.positions):
             raise ValueError("species length mismatch")
@@ -92,18 +96,45 @@ def _is_atom_line(line):
         return False
 
 
-def _parse_extxyz_comment(comment):
-    key = 'Lattice="'
-    if key not in comment:
+def _quoted(comment, key):
+    """The text of the entry key="..." of a comment line, or None.  The key
+    starts the line or follows a blank, so OrigLattice is not Lattice."""
+    head = re.search(rf'(?:^|\s){key}="', comment)
+    if head is None:
         return None
-    start = comment.index(key) + len(key)
-    end = comment.find('"', start)
+    end = comment.find('"', head.end())
     if end < 0:
-        raise ValueError("unterminated Lattice entry")
-    nums = [float(x) for x in comment[start:end].split()]
-    if len(nums) != 9:
-        raise ValueError("Lattice entry must hold 9 numbers")
-    return np.array(nums).reshape(3, 3)
+        raise ValueError(f"unterminated {key} entry")
+    return comment[head.end():end]
+
+
+def _parse_extxyz_comment(comment):
+    """(lattice, periodic) of an extended-XYZ comment line.
+
+    lattice is the 3 x 3 Lattice entry, or None without one.  periodic is
+    False when the pbc entry is "F F F" (an open frame), else True; mixed
+    flags, a frame periodic along some axes only, are refused.
+    """
+    text = _quoted(comment, "Lattice")
+    lattice = None
+    if text is not None:
+        nums = [float(x) for x in text.split()]
+        if len(nums) != 9:
+            raise ValueError("Lattice entry must hold 9 numbers")
+        lattice = np.array(nums).reshape(3, 3)
+    pbc = _quoted(comment, "pbc")
+    if pbc is None:
+        return lattice, True
+    flags = pbc.upper().split()
+    if len(flags) != 3 or not set(flags) <= {"T", "F", "TRUE", "FALSE"}:
+        raise ValueError(f"pbc entry must hold 3 flags T or F, got {pbc!r}")
+    periodic = {f.startswith("T") for f in flags}
+    if len(periodic) > 1:
+        raise ValueError(f"mixed pbc flags {pbc!r}: a frame must be periodic "
+                         f"along all three axes or none")
+    if True in periodic and lattice is None:
+        raise ValueError("periodic pbc flags without a Lattice entry")
+    return lattice, True in periodic
 
 
 def _parse_atoms(path, first, atoms):
@@ -141,9 +172,13 @@ def _parse_frame(path, start, comment, atoms, fmt):
         raise ValueError(f"{path}:{first + int(np.argmax(bad))}: "
                          f"non-finite coordinates")
     try:  # errors of the box, from the comment line
-        box = None if fmt == "xyz" else _parse_extxyz_comment(comment or "")
-        if box is None and fmt == "extxyz":
-            raise ValueError("missing Lattice entry")
+        box = None
+        if fmt != "xyz":
+            box, periodic = _parse_extxyz_comment(comment or "")
+            if box is None and fmt == "extxyz":
+                raise ValueError("missing Lattice entry")
+            if not periodic:
+                box = None
         return Frame(positions=pos, box=box, species=species)
     except ValueError as exc:
         raise ValueError(f"{path}:{start + 1}: {exc}") from None
@@ -158,10 +193,11 @@ def iter_frames(path, fmt: str = "auto"):
     """Yield the frames of an XYZ or extended-XYZ trajectory one at a time.
 
     fmt is "auto" (a Lattice entry gives the periodic box when present),
-    "xyz" (no box) or "extxyz" (a Lattice entry is required).  The file is
-    read as the frames are consumed, so a bad record raises, naming
-    path:line, only when its frame is reached.  A last frame may omit its
-    comment line.
+    "xyz" (no box) or "extxyz" (a Lattice entry is required).  A pbc entry
+    of "F F F" makes the frame open whatever its Lattice, and mixed flags
+    raise.  The file is read as the frames are consumed, so a bad record
+    raises, naming path:line, only when its frame is reached.  A last frame
+    may omit its comment line.
     """
     _check_format(fmt)
     found = False
@@ -290,7 +326,8 @@ def auto_cutoff(frame: Frame):
         volume = abs(np.linalg.det(box))
     else:
         span = pos.max(axis=0) - pos.min(axis=0)
-        rmax = max(float(np.linalg.norm(span)) / 2.0, 1e-9)
+        # a frame of coincident particles has no length scale of its own
+        rmax = float(np.linalg.norm(span)) / 2.0 or 1e-9
         volume = float(np.prod(span))
     spacing = (volume / frame.n) ** (1.0 / 3.0)
     nbins = RDF_BINS
@@ -342,7 +379,7 @@ def _rdf_minimum(pos, box, rmax, nbins, reach, kept):
     if not capped and not hist.any():
         raise ValueError("no pairs found; cannot estimate a cutoff")
     centers = 0.5 * (edges[:-1] + edges[1:])
-    g = hist / np.maximum(centers ** 2, 1e-12)  # shell-volume normalization
+    g = hist / centers ** 2  # shell-volume normalization; centers > 0
     g = np.convolve(g, np.ones(5) / 5.0, mode="same")
     peak = int(np.argmax(g[:top]))
     r_cut = next((float(centers[i]) for i in range(peak + 1, top - 1)

@@ -303,19 +303,11 @@ def _sorted_values(base, clusters):
 
 
 def _merged_counts(lists):
-    """Distinct-angle count of each sorted list through _gapped_runs and one
-    _merge_runs call for all of them; a list without a gap counts 1."""
-    runs = []
-    for i, vals in enumerate(lists):
-        ang = np.asarray(vals, dtype=np.float64)[None, :]
-        row, c, ngaps, gaps, sizes = kernels._gapped_runs(
-            ang, np.zeros(ang.shape, dtype=np.int64))
-        assert not c.any() and len(row) <= 1
-        runs.append((row + i, ngaps, gaps, sizes))
-    row, ngaps, gaps, sizes = (np.concatenate(a) for a in zip(*runs))
-    counts = np.ones(len(lists), dtype=np.int64)
-    counts[row] = kernels._merge_runs(ngaps, gaps, sizes)
-    return counts
+    """Distinct-angle count of each sorted list through one _distinct_counts
+    call: the lists side by side in one row, each in a bin of its own."""
+    ang = np.concatenate([np.asarray(v, dtype=np.float64) for v in lists])
+    cls = np.repeat(np.arange(len(lists)), [len(v) for v in lists])
+    return kernels._distinct_counts(ang[None, :], cls[None, :], len(lists))[0]
 
 
 # gaps between clusters: both thresholds exactly, values just past them, and
@@ -393,14 +385,71 @@ def test_merge_thresholds_exact():
         ([down - 0.1, down, 0.0, 0.1, 0.2], 2),
         # the singleton at 0 makes the right pair a triple, which stays
         ([-1.7, -1.6, -1.5, 0.0, 1.5, 1.6, 3.6, 3.7, 3.8], 3),
+        # the singleton at -3 takes the left of two equal gaps first, so the
+        # pair it makes stays more than 2 * VALUE_RESOLUTION from the triple
+        ([-6.7, -6.6, -6.5, -3.0, 0.0, 3.0, 3.1, 3.2], 3),
     ]
     assert cases[0][0][3] - cases[0][0][2] == _RES
     assert cases[2][0][2] - cases[2][0][1] == 2 * _RES
     assert 0.0 - (-1.5) == 1.5 - 0.0
+    assert 0.0 - (-3.0) == 3.0 - 0.0
     lists = [vals for vals, _ in cases]
     expected = [count for _, count in cases]
     assert [_count_clusters(vals) for vals in lists] == expected
     assert _merged_counts(lists).tolist() == expected
+
+
+# up to 30 gaps, all distinct, from the float range of _GAP
+_DISTINCT_GAPS = st.lists(st.floats(_RES, 4 * _RES, exclude_min=True),
+                          min_size=1, max_size=30, unique=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(gaps=_DISTINCT_GAPS, base=_BASE,
+       members=st.lists(st.lists(_STEP, max_size=3), min_size=31, max_size=31))
+def test_merge_without_ties_is_closed_form(gaps, base, members):
+    """Lists whose gaps all differ take no round of _merge_runs and still
+    equal the reference."""
+    clusters = list(zip([0.0] + gaps, members))
+    vals = _sorted_values(base, clusters)
+    found = [b - a for a, b in zip(vals, vals[1:]) if b - a > _RES]
+    assume(len(set(found)) == len(found))
+    with mock.patch.object(kernels, "_merge_runs") as rounds:
+        got = _merged_counts([vals])[0]
+    assert not rounds.called
+    assert got == _count_clusters(vals)
+
+
+def test_tied_bins_take_the_rounds():
+    """A bin holding equal gaps one or two apart goes through _merge_runs; a
+    tie three apart, or across a bin edge, does not.  The rounds give 5 for the
+    pairs 1.8 apart, where the closed form would merge them all into one, and
+    3 for the second list, where it would give 2."""
+    ends = [(0, [0.1, 0.1])]
+    lists = [_sorted_values(10.0, clusters) for clusters in [
+        _FIXED[8],
+        # a pair between equal outer gaps, the left one taken first by the
+        # singleton beyond it: a tie two apart
+        ends + [(2.3, []), (2.0, []), (1.5, []), (2.0, [0.1, 0.1])],
+        # the same gaps with one more singleton between: three apart
+        ends + [(2.3, []), (2.0, []), (1.5, []), (1.6, []), (2.0, [0.1, 0.1])],
+        # a gap of 2.0 last here and first in the next bin
+        ends + [(1.5, []), (2.0, [0.1, 0.1])],
+        ends + [(2.0, []), (1.4, [0.1, 0.1])],
+    ]]
+    ref = [_count_clusters(vals) for vals in lists]
+    assert ref[:2] == [5, 3]
+    with mock.patch.object(kernels, "_merge_runs",
+                           wraps=kernels._merge_runs) as rounds:
+        assert _merged_counts(lists).tolist() == ref
+    (ngaps, _, _), _ = rounds.call_args
+    assert rounds.call_count == 1 and ngaps.tolist() == [9, 4]
+    # the two tied bins take their counts from the rounds alone
+    def sentinel(ngaps, *_):
+        return np.full(len(ngaps), -1)
+
+    with mock.patch.object(kernels, "_merge_runs", side_effect=sentinel):
+        assert _merged_counts(lists).tolist() == [-1, -1] + ref[2:]
 
 
 def _classify_loop(kk, fcounts, cat_k, cat_f):

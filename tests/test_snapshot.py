@@ -85,9 +85,16 @@ def test_read_truncated_frame(tmp_path):
     ("1\nc\nX 0 0 0\n2\nc\nX 0 0 0\nX 0 inf\n", 7, "expected 'symbol x y z'"),
     ("1\nc\nX 0 0 0\n\n0\nc\n", 5, "positive atom count"),
     ("2\nX 0 0 0\nX 1 0 nan\n", 3, "non-finite coordinates"),
+    ('1\nLattice="3 0 0 0 3 0 0 0 3" pbc="T T F"\nX 0 0 0\n', 2,
+     "mixed pbc flags 'T T F'"),
+    ('1\nLattice="3 0 0 0 3 0 0 0 3" pbc="T T"\nX 0 0 0\n', 2, "3 flags T or F"),
+    ('1\npbc="T T T"\nX 0 0 0\n', 2, "without a Lattice entry"),
+    ('1\nLattice="3 0 0 0 3 0 0 0 3" pbc="F F F\nX 0 0 0\n', 2,
+     "unterminated pbc entry"),
 ], ids=["float", "unterminated-lattice", "short-lattice", "lattice-float",
         "singular-box", "nan-box", "inf-box", "nan", "short-record",
-        "zero-count", "nan-no-comment"])
+        "zero-count", "nan-no-comment", "mixed-pbc", "short-pbc",
+        "pbc-without-lattice", "unterminated-pbc"])
 def test_read_errors_name_the_line(tmp_path, text, where, what):
     p = tmp_path / "bad.xyz"
     p.write_text(text)
@@ -107,6 +114,24 @@ def test_read_format_is_checked(tmp_path):
     p.write_text("1\nno box\nX 0 0 0\n")
     with pytest.raises(ValueError, match="one.xyz:2: missing Lattice"):
         read_frames(p, fmt="extxyz")
+
+
+def test_read_pbc_flags(tmp_path):
+    """pbc="T T T" keeps the Lattice box and "F F F" gives an open frame, so
+    two particles 0.4 apart across a face of the cell are no neighbours.
+    Keys that merely end in Lattice or pbc are other entries."""
+    p = tmp_path / "pbc.extxyz"
+    for flags, box in (("T T T", 10.0 * np.eye(3)), ("F F F", None),
+                       ("True True True", 10.0 * np.eye(3))):
+        p.write_text(f'2\nOrigLattice="1 0 0 0 1 0 0 0 1" mypbc="T T F" '
+                     f'Lattice="10 0 0 0 10 0 0 0 10" pbc="{flags}"\n'
+                     f"X 0.2 0 0\nX 9.8 0 0\n")
+        for fmt in ("auto", "extxyz"):
+            fr = read_frames(p, fmt=fmt)[0]
+            assert (fr.box is None) == (box is None)
+            assert box is None or np.array_equal(fr.box, box)
+            k = neighbours_cutoff(fr, 1.0).counts.tolist()
+            assert k == ([0, 0] if box is None else [1, 1])
 
 
 def test_iter_frames_is_lazy(tmp_path):
@@ -249,7 +274,7 @@ def _rdf_rmax(frame):
     if frame.box is not None:
         return 0.499 * kernels._perpendicular_widths(frame.box).min()
     span = frame.positions.max(axis=0) - frame.positions.min(axis=0)
-    return max(float(np.linalg.norm(span)) / 2.0, 1e-9)
+    return float(np.linalg.norm(span)) / 2.0 or 1e-9
 
 
 def _rdf_bins(frame):
@@ -290,7 +315,7 @@ def _auto_cutoff_loop(frame):
     r = np.concatenate(dists)
     hist, edges = np.histogram(r, bins=_rdf_bins(frame), range=(0.0, rmax))
     centers = 0.5 * (edges[:-1] + edges[1:])
-    g = hist / np.maximum(centers ** 2, 1e-12)
+    g = hist / centers ** 2
     g = np.convolve(g, np.ones(5) / 5.0, mode="same")
     peak = int(np.argmax(g))
     for i in range(peak + 1, len(g) - 1):
@@ -418,6 +443,22 @@ def test_auto_cutoff_bins_a_fixed_width_in_spacings(searches):
     assert _rdf_bins(fr) > snapshot.RDF_BINS
     assert abs(cuts[1] - cuts[0]) <= max(widths)
     assert all(0.85 < rc < 0.88 for rc in cuts)
+
+
+@pytest.mark.parametrize("scale", [1e-10, 1e-8, 1e-5, 1e4])
+def test_cutoff_and_labels_do_not_depend_on_the_unit(analyze, scale):
+    """A noisy FCC frame, with its box and without, scaled by `scale`: the
+    same cutoff in the frame's units, within rounding, and the same labels."""
+    fr = make_lattice("fcc", 6, noise=0.05, seed=2)
+    for frame in (fr, Frame(positions=fr.positions)):
+        rc, pairs = auto_cutoff(frame)
+        labels = analyze(frame, neighbours_cutoff(frame, rc, pairs))[3]
+        box = None if frame.box is None else frame.box * scale
+        scaled = Frame(positions=frame.positions * scale, box=box)
+        rc_s, pairs_s = auto_cutoff(scaled)
+        assert rc_s / scale == pytest.approx(rc, rel=1e-12)
+        nl = neighbours_cutoff(scaled, rc_s, pairs_s)
+        assert analyze(scaled, nl)[3] == labels
 
 
 def _analyze_with_budget(budget, analyze, frame, nl):
