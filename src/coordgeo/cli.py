@@ -238,18 +238,36 @@ def cmd_inherent_angles(args):
     return 0
 
 
-def _csv_rows(fi, lo, hi, kk, mm, e, labels, dists):
-    """analyze's CSV rows of particles lo to hi - 1 of frame fi, one %
-    template filled once (%.6f writes NaN as nan, as format spec .6f does)."""
-    row = f"{fi},%d,%d,%d,%.6f,%s,%.6f\n"
-    fields = [None] * (6 * (hi - lo))
-    fields[0::6] = range(lo, hi)
-    fields[1::6] = kk[lo:hi].tolist()
-    fields[2::6] = mm[lo:hi].tolist()
-    fields[3::6] = e[lo:hi].tolist()
-    fields[4::6] = labels[lo:hi]
-    fields[5::6] = dists[lo:hi].tolist()
-    return row * (hi - lo) % tuple(fields)
+def _tails(result):
+    """The "k,m,e,label,d_e" text, newline included, of each descriptor row of
+    a FrameResult, one % template filled once (%.6f writes NaN as nan, as
+    format spec .6f does)."""
+    fields = [None] * (5 * len(result.k))
+    fields[0::5] = result.k.tolist()
+    fields[1::5] = result.m.tolist()
+    fields[2::5] = result.e.tolist()
+    fields[3::5] = [result.names[i] for i in result.label.tolist()]
+    fields[4::5] = result.d_e.tolist()
+    text = "%d,%d,%.6f,%s,%.6f\n" * len(result.k) % tuple(fields)
+    return text.splitlines(keepends=True)
+
+
+def _csv_rows(fi, lo, hi, row, tails):
+    """analyze's CSV rows of particles lo to hi - 1 of frame fi: each one's
+    id and the tail of its descriptor row."""
+    fields = [None] * (2 * (hi - lo))
+    fields[0::2] = range(lo, hi)
+    fields[1::2] = [tails[r] for r in row[lo:hi].tolist()]
+    return f"{fi},%d,%s" * (hi - lo) % tuple(fields)
+
+
+def _label_counts(result):
+    """{code: particles} of the labels a frame holds, codes in sorted order."""
+    # label -1, for k < 2, counts at the last name, "-"
+    counts = np.bincount(result.label[result.row] % len(result.names),
+                         minlength=len(result.names))
+    return {name: c for name, c in sorted(zip(result.names, counts.tolist()))
+            if c}
 
 
 def cmd_analyze(args):
@@ -271,17 +289,17 @@ def cmd_analyze(args):
                     raise ValueError(f"frame {fi}: {exc}; set the cutoff "
                                      f"explicitly with --rcut") from exc
             nl = neighbours_cutoff(frame, rcut, pairs)
-            e, kk, mm, labels, dists = analyze_frame(frame, nl, catalog.codes,
-                                                     descriptors, disc)
+            result = analyze_frame(frame, nl, catalog.codes, descriptors, disc)
+            tails = _tails(result)
             for lo, hi in row_blocks(nl.starts):
-                out.write(_csv_rows(fi, lo, hi, kk, mm, e, labels, dists))
-            codes, counts = np.unique(labels, return_counts=True)
+                out.write(_csv_rows(fi, lo, hi, result.row, tails))
+            e = result.e[result.row]
             finite = e[~np.isnan(e)]
             summary.append({
                 "frame": fi,
                 "n": int(frame.n),
                 "r_cut": float(rcut),
-                "labels": dict(zip(codes.tolist(), counts.tolist())),
+                "labels": _label_counts(result),
                 "mean_e": float(finite.mean()) if len(finite) else None,
             })
         if args.summary:

@@ -4,9 +4,14 @@ Each kernel has one numpy implementation and no per-particle or per-bin
 Python loop.  One vectorised cell list, pairs_within (Allen & Tildesley,
 Computer Simulation of Liquids, sec. 5.3), finds the pairs within a radius for
 every box, thin slabs and open frames (box None) included, each pair once.
-Its distances gather coordinates by np.take from contiguous columns, and its
-minimum image skips the products with the zero entries of the box and its
-inverse, which change no distance's bits (_pair_r2).
+It sorts the particles into cell order once; each then takes as candidates
+the rest of its own cell and the neighbouring cells of higher id, half the
+27-cell stencil (Mattson & Rice, Comput. Phys. Commun. 119, 135, 1999), which
+a per-cell table merges into runs of consecutive positions, so no pair is
+generated from both ends and none is masked away.  Its distances gather
+coordinates by np.take from contiguous columns, and its minimum image skips
+the products with the zero entries of the box and its inverse, which change
+no distance's bits (_pair_r2).
 snapshot.auto_cutoff bins the distances of the pairs within two mean spacings,
 or a doubled reach, and keeps those within its cutoff; pairs_csr mirrors
 pairs into CSR rows, for neighbour_csr's search and for the pairs auto_cutoff
@@ -66,49 +71,54 @@ def _pair_r2(cols, i, j, box, inv):
     Under a box, the zero entries of box and inv are skipped (_combine): a
     fractional coordinate that sums to a zero of either sign is +0 once its
     nearest integer is subtracted, and a Cartesian one is squared, so r2 is
-    bitwise that of the full 3 x 3 products.
+    bitwise that of the full 3 x 3 products.  Every step is odd in the
+    difference, and IEEE rounding and np.rint are symmetric in sign, so the
+    pair (j, i) has the r2 of (i, j) bit for bit.  The Cartesian components
+    are made and squared one at a time, in place, and summed left to right.
     """
     d = [np.take(x, i) - np.take(x, j) for x in cols]
     if box is not None:
-        f = [_combine(d, inv[:, c]) for c in range(3)]
-        del d
-        for x in f:
+        d = list(_columns(d, inv))
+        for x in d:
             x -= np.rint(x)
-        d = [_combine(f, box[:, c]) for c in range(3)]
-    return d[0] * d[0] + d[1] * d[1] + d[2] * d[2]
+        d = _columns(d, box)
+    r2 = None
+    for x in d:
+        x *= x
+        if r2 is None:
+            r2 = x
+        else:
+            r2 += x
+    return r2
 
 
-def _np_neighbour_pairs(pos, box, rcut):
-    """O(N^2) reference search: CSR neighbour lists within rcut, rows sorted."""
-    pos = np.ascontiguousarray(pos, dtype=np.float64)
-    cols = pos.T.copy()
-    n = len(pos)
-    inv = None if box is None else np.linalg.inv(box)
-    chunk = max(1, int(4e6 // n))
-    counts = np.zeros(n, dtype=np.int64)
-    idx = []
-    for lo in range(0, n, chunk):
-        rows = np.arange(lo, min(n, lo + chunk))
-        r2 = _pair_r2(cols, rows[:, None], np.arange(n)[None, :], box, inv)
-        r2[np.arange(len(rows)), rows] = np.inf
-        ii, jj = np.nonzero(r2 <= rcut * rcut)
-        counts[rows] = np.bincount(ii, minlength=len(rows))
-        idx.append(jj)
-    starts = np.concatenate([[0], np.cumsum(counts)])
-    return starts, np.concatenate(idx).astype(np.int64)
+def _columns(u, m):
+    """Yield _combine(u, m[:, c]) for c = 0, 1, 2, emptying u[k] once no
+    later column takes it: under a diagonal m, four of the six arrays are
+    alive at most."""
+    for c in range(3):
+        yield _combine(u, m[:, c])
+        for k in range(3):
+            if not m[k, c + 1:].any():
+                u[k] = None
 
 
 def pairs_within(pos, box, rcut):
     """Yield (i, j, r2) chunks of the pairs i < j within rcut, each pair once.
 
-    Minimum image unless box is None (an open frame).  Particles are sorted by
-    cell; a particle's candidates are the higher-indexed members of the
-    stencil cells around its own.  A periodic axis with fewer than 3 cells
-    visits each of its cells once (offsets -1, 0, 1 would wrap onto one cell
-    twice).  A chunk holds the owners of about _BUDGET candidates.
+    Minimum image unless box is None (an open frame).  The particles are
+    sorted into cell order once.  In that order a particle's candidates are
+    the rest of its own cell and the neighbouring cells of higher id, so
+    each pair of cells is visited from one end only; a per-cell table
+    (_forward_runs) merges those cells into runs of consecutive positions,
+    and a particle's candidates are a few contiguous ranges.  A periodic
+    axis with fewer than 3 cells counts each of its cells once (offsets
+    -1, 0, 1 would wrap onto one cell twice).  Each r2 is _pair_r2 of the
+    pair in input order, bit for bit.  A chunk holds the owners of at most
+    _BUDGET candidates: 14 cells, half the 27-cell stencil, of at most the
+    fullest cell's members each.
     """
     pos = np.ascontiguousarray(pos, dtype=np.float64)
-    cols = pos.T.copy()
     n = len(pos)
     # a hair of slack keeps every cell wider than rcut despite rounding
     cell_len = rcut * (1.0 + 1e-9)
@@ -125,40 +135,93 @@ def pairs_within(pos, box, rcut):
         ncell = span // cell_len
         frac = (pos - lo) / np.maximum(span, np.finfo(float).tiny)
     ncell = np.clip(ncell, 1, _MAX_CELLS).astype(np.int64)
-    offsets = [range(c) if periodic and c < 3 else (-1, 0, 1) for c in ncell]
-    stencil = np.stack(np.meshgrid(*offsets, indexing="ij"), axis=-1).reshape(-1, 3)
     cell = np.minimum((frac * ncell).astype(np.int64), ncell - 1)
+    del frac
     cid = _flat(cell, ncell)
     order = np.argsort(cid, kind="stable")
+    cell, cid = cell[order], cid[order]
+    # the coordinate columns in cell order: a run of positions is a slice
+    cols = pos[order].T.copy()
     members = np.bincount(cid, minlength=int(ncell.prod()))
-    first = np.cumsum(members) - members
-    chunk = max(1, _BUDGET // (len(stencil) * int(members.max())))
+    # cell c holds positions bounds[c]:bounds[c + 1]; bounds[-1] == bounds[-2]
+    # is the empty cell that stands for a neighbour left out
+    bounds = np.concatenate([[0], np.cumsum(members), [n]])
+    chunk = max(1, _BUDGET // (14 * int(members.max())))
     for lo in range(0, n, chunk):
         hi = min(n, lo + chunk)
-        # the stencil cells of each particle and the candidates each holds
-        near = cell[lo:hi, None, :] + stencil
+        p, q = _forward_runs(cell[lo:hi], cid[lo:hi], ncell, periodic,
+                             bounds, lo)
+        r2 = _pair_r2(cols, p, q, box, inv)
+        keep = np.flatnonzero(r2 <= rcut * rcut)
+        i, j, r2 = order[p[keep]], order[q[keep]], r2[keep]
+        # the candidates go before the next chunk's are made
+        del p, q, keep
+        yield np.minimum(i, j), np.maximum(i, j), r2
+
+
+def _forward_runs(cell, cid, ncell, periodic, bounds, lo):
+    """Candidate pairs (p, q), p < q, of the cell-ordered particles lo,
+    lo + 1, ... whose cells and cell ids are cell and cid: for each, the
+    particles after it in its own cell and those of its neighbouring cells
+    of higher id.
+
+    A table over the distinct cells of these particles lists each one's
+    forward neighbours in id order, each once, and merges cells whose
+    positions abut (consecutive ids, or ids with only empty cells between)
+    into runs; each particle takes its cell's runs, its own cell cut to the
+    particles after it.
+    """
+    empty = len(bounds) - 2
+    # cids are sorted: the distinct cells and each particle's row among them
+    change = np.diff(cid, prepend=-1) != 0
+    head = np.flatnonzero(change)
+    owner_row = np.cumsum(change) - 1
+    # per axis, the coordinates of offsets -1, 0, 1: wrapped if periodic,
+    # else -empty outside, which makes any id holding it negative
+    near = []
+    for a in range(3):
+        reach = np.arange(-1, ncell[a] + 1)
         if periodic:
-            near %= ncell
-            inside = True
+            reach %= ncell[a]
         else:
-            inside = ((near >= 0) & (near < ncell)).all(axis=2)
-            near = np.clip(near, 0, ncell - 1)
-        near = _flat(near, ncell).ravel()
-        size = np.where(inside, members[near].reshape(hi - lo, -1), 0).ravel()
-        i = np.repeat(np.arange(lo, hi), len(stencil))
-        i = np.repeat(i, size)
-        ends = np.cumsum(size)
-        j = order[np.arange(ends[-1]) + np.repeat(first[near] - ends + size, size)]
-        keep = i < j
-        i, j = i[keep], j[keep]
-        r2 = _pair_r2(cols, i, j, box, inv)
-        keep = r2 <= rcut * rcut
-        yield i[keep], j[keep], r2[keep]
+            reach[[0, -1]] = -empty
+        near.append(reach[cell[head, a, None] + np.arange(3)])
+    x, y, z = near
+    ids = (x[:, :, None, None] + ncell[0] * (
+        y[:, None, :, None] + ncell[1] * z[:, None, None, :])).reshape(-1, 27)
+    # the cells below the own one, and those outside an open frame, drop out
+    ids[ids < cid[head, None]] = empty
+    ids.sort(axis=1)
+    # a periodic axis under 3 cells reaches one cell more than once
+    ids[:, 1:][ids[:, 1:] == ids[:, :-1]] = empty
+    start, end = bounds[ids], bounds[ids + 1]
+    row, col = np.nonzero(end > start)
+    start, end = start[row, col], end[row, col]
+    # a run begins at a new row, or where a cell does not begin at the end of
+    # the one before; a row's first run holds its own cell
+    new = np.ones(len(row), dtype=bool)
+    new[1:] = (row[1:] != row[:-1]) | (start[1:] != end[:-1])
+    run = np.flatnonzero(new)
+    run_start = start[run]
+    run_end = end[np.append(run[1:], len(row)) - 1]
+    nruns = np.bincount(row[run], minlength=len(head))
+    # each particle's runs, the first cut to the particles after it
+    nr = nruns[owner_row]
+    seg_first = np.cumsum(nr) - nr
+    seg = np.arange(int(nr.sum())) + np.repeat(
+        (np.cumsum(nruns) - nruns)[owner_row] - seg_first, nr)
+    seg_start = run_start[seg]
+    seg_start[seg_first] = np.arange(lo + 1, lo + len(cid) + 1)
+    size = run_end[seg] - seg_start
+    p = np.repeat(np.arange(lo, lo + len(cid)),
+                  np.add.reduceat(size, seg_first))
+    q = np.repeat(seg_start - (np.cumsum(size) - size), size)
+    q += np.arange(len(q))
+    return p, q
 
 
 def neighbour_csr(pos, box, rcut):
-    """CSR neighbour lists within rcut from pairs_within, rows sorted.
-    Output equals _np_neighbour_pairs."""
+    """CSR neighbour lists within rcut from pairs_within, rows sorted."""
     return pairs_csr(len(pos), pairs_within(pos, box, rcut))
 
 

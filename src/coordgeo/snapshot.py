@@ -1,7 +1,8 @@
 """Particle snapshots: file I/O, neighbour search and per-particle structure.
 
 Trajectories are streamed: iter_frames yields one frame at a time from the
-open file, so memory holds one frame whatever the file length.  A frame's
+open file, so memory holds one frame whatever the file length, and none of
+its text once the frame is parsed (_read_frame).  A frame's
 coordinates are read by numpy's C parser, and by a line loop only to name
 the line it refuses.  Neighbourhoods come from a cutoff search
 (kernels.neighbour_csr: a numpy cell list for every box, minimum image under
@@ -20,9 +21,11 @@ coefficients.distances, the d_E that builds the distance matrix.
 analyze_frame, the one per-frame function, gives both from one profiling
 pass over blocks of rows (kernels.row_blocks), so that memory holds one
 frame's neighbour lists and per-particle results plus one block of fixed
-size, not every bond of the frame at once.  It takes the catalog's
-descriptor arrays from its caller, which builds them once for all frames.
-Coincident particles raise ValueError.
+size, not every bond of the frame at once.  A crystal holds few distinct
+descriptors, so each distinct (k, f) row of a block is classified once, and
+the result is that table (FrameResult) with each particle's row in it.  It
+takes the catalog's descriptor arrays from its caller, which builds them
+once for all frames.  Coincident particles raise ValueError.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ __all__ = [
     "NeighbourList",
     "neighbours_cutoff",
     "auto_cutoff",
+    "FrameResult",
     "analyze_frame",
     "make_lattice",
 ]
@@ -206,25 +210,33 @@ def iter_frames(path, fmt: str = "auto"):
         for start, head in lines:
             if not head.strip():
                 continue
-            try:
-                natoms = int(head)
-            except ValueError:
-                natoms = 0
-            if natoms < 1:
-                raise ValueError(f"{path}:{start}: expected a positive atom "
-                                 f"count, got {head.strip()!r}")
-            block = [text for _, text in itertools.islice(lines, natoms + 1)]
-            if len(block) == natoms + 1:
-                comment, atoms = block[0], block[1:]
-            elif len(block) == natoms and _is_atom_line(block[0]):
-                comment, atoms = None, block  # comment-less last frame
-            else:
-                raise ValueError(f"{path}:{start}: frame truncated "
-                                 f"({natoms} atoms declared)")
-            yield _parse_frame(path, start, comment, atoms, fmt)
+            # the frame's lines are locals of _read_frame alone, so the
+            # suspended generator holds none of them
+            yield _read_frame(path, lines, start, head, fmt)
             found = True
     if not found:
         raise ValueError(f"{path}: no frames found")
+
+
+def _read_frame(path, lines, start, head, fmt):
+    """The frame whose atom count, head, is line `start`, its other lines
+    taken from lines, an enumerate() of the file's lines."""
+    try:
+        natoms = int(head)
+    except ValueError:
+        natoms = 0
+    if natoms < 1:
+        raise ValueError(f"{path}:{start}: expected a positive atom "
+                         f"count, got {head.strip()!r}")
+    block = [text for _, text in itertools.islice(lines, natoms + 1)]
+    if len(block) == natoms + 1:
+        comment, atoms = block[0], block[1:]
+    elif len(block) == natoms and _is_atom_line(block[0]):
+        comment, atoms = None, block  # comment-less last frame
+    else:
+        raise ValueError(f"{path}:{start}: frame truncated "
+                         f"({natoms} atoms declared)")
+    return _parse_frame(path, start, comment, atoms, fmt)
 
 
 def read_frames(path, fmt: str = "auto") -> list:
@@ -396,42 +408,80 @@ def _coefficient(kk, mm):
     return e
 
 
+@dataclass
+class FrameResult:
+    """analyze_frame's result: a table with one row per distinct descriptor
+    (k, f) of each row block, and each particle's row in it.
+
+    The table's columns are k; m, the distinct bond angles; e, in bits;
+    label, an index into names; and d_e, the distance in bits to the
+    labelled geometry.  names is the catalog's codes followed by "-", so
+    label -1, for k < 2, reads "-".  Particle i has k[row[i]], label
+    names[label[row[i]]], and so on.
+    """
+
+    names: tuple
+    k: np.ndarray
+    m: np.ndarray
+    e: np.ndarray
+    label: np.ndarray
+    d_e: np.ndarray
+    row: np.ndarray
+
+
+def _distinct_rows(kk, fcounts):
+    """(first, inverse): the first row of each distinct (k, f) row, and each
+    row's index among them.
+
+    The key is each row packed at the smallest unsigned type that holds the
+    largest entry, viewed as one void item, so np.unique compares whole rows
+    exactly.
+    """
+    rows = np.column_stack([kk, fcounts])
+    rows = rows.astype(np.min_scalar_type(rows.max()))
+    key = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))
+    _, first, inverse = np.unique(key.ravel(), return_index=True,
+                                  return_inverse=True)
+    return first, inverse.ravel()
+
+
 def analyze_frame(frame: Frame, nl: NeighbourList, codes, descriptors,
-                  disc: Discretizer):
+                  disc: Discretizer) -> FrameResult:
     """Coefficients and labels of every particle from one profiling pass.
 
     codes are the catalog's codes and descriptors their (k, f) arrays under
     disc, as coefficients.descriptor_arrays gives them: a command builds
     them once for all its frames.
 
-    Returns (e, k, m, labels, distances): e in bits; m the distinct bond
-    angles, where discretized values in one bin closer than
-    kernels.VALUE_RESOLUTION merge (this separates HCP from BPP yet ignores
-    thermal noise); labels the nearest catalog codes under d_E, ties to the
-    lower catalog index; distances in bits.  A particle with k < 2 gets
+    m counts the distinct bond angles, where discretized values in one bin
+    closer than kernels.VALUE_RESOLUTION merge (this separates HCP from BPP
+    yet ignores thermal noise); labels are the nearest catalog codes under
+    d_E, ties to the lower catalog index.  A particle with k < 2 gets
     e = NaN, m = 0, label "-" and distance NaN.
 
     The pass runs over kernels.row_blocks of the neighbour lists: each block
-    is profiled and classified on its own, and only the per-particle results
-    are kept for the whole frame.  A particle's results depend on its own
-    row alone, so they do not depend on the blocks.
+    is profiled, and each distinct (k, f) row of the block is classified
+    once (_distinct_rows).  A particle's results depend on its own row
+    alone, so they do not depend on the blocks.
     """
     cat_k, cat_f = descriptors
-    kk = np.empty(frame.n, dtype=np.int64)
-    mm = np.empty(frame.n, dtype=np.int64)
-    lab_idx = np.empty(frame.n, dtype=np.int64)
-    dists = np.empty(frame.n)
+    table = []
+    row = np.empty(frame.n, dtype=np.int64)
+    rows = 0
     for lo, hi in kernels.row_blocks(nl.starts):
         starts = nl.starts[lo:hi + 1]
-        kk[lo:hi], fcounts = kernels.profile_particles(
+        kk, fcounts = kernels.profile_particles(
             frame.positions, frame.box, starts - starts[0],
             nl.indices[starts[0]:starts[-1]], disc.bin_edges, first=lo)
-        mm[lo:hi] = fcounts.sum(axis=1)
-        lab_idx[lo:hi], dists[lo:hi] = kernels.classify_particles(
-            kk[lo:hi], fcounts, cat_k, cat_f)
-    names = [*codes, "-"]  # index -1, a particle with k < 2, reads "-"
-    labels = [names[i] for i in lab_idx.tolist()]
-    return _coefficient(kk, mm), kk, mm, labels, dists
+        first, inverse = _distinct_rows(kk, fcounts)
+        row[lo:hi] = rows + inverse
+        rows += len(first)
+        kk, fcounts = kk[first], fcounts[first]
+        table.append((kk, fcounts.sum(axis=1),
+                      *kernels.classify_particles(kk, fcounts, cat_k, cat_f)))
+    kk, mm, label, dists = (np.concatenate(col) for col in zip(*table))
+    return FrameResult((*codes, "-"), kk, mm, _coefficient(kk, mm), label,
+                       dists, row)
 
 
 _LATTICE_BASES = {

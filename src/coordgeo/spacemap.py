@@ -271,12 +271,6 @@ def _classical_mds(d, dims):
     return x
 
 
-def _smacof(d, x0, max_iter, rtol):
-    """One SMACOF run from x0; returns (coords, stress trace, converged)."""
-    x, trace, converged = _smacof_stack(d, x0[None], max_iter, rtol)[0]
-    return x, trace.tolist(), converged
-
-
 def _smacof_stack(d, x0, max_iter, rtol):
     """SMACOF (Guttman transform) from a stack of starts x0 of shape (R, n, dims).
 

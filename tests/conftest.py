@@ -16,10 +16,17 @@ def discretizer(catalog):
 @pytest.fixture(scope="session")
 def analyze(catalog, discretizer):
     """analyze_frame(frame, nl) against the catalog under the published
-    discretizer, its descriptor arrays built once."""
+    discretizer, its descriptor arrays built once, as per-particle columns
+    (e, k, m, labels, distances) read from its per-descriptor table."""
     descriptors = cg.descriptor_arrays(catalog.geometries, discretizer)
-    return lambda frame, nl: cg.analyze_frame(frame, nl, catalog.codes,
-                                              descriptors, discretizer)
+
+    def run(frame, nl):
+        r = cg.analyze_frame(frame, nl, catalog.codes, descriptors,
+                             discretizer)
+        labels = [r.names[i] for i in r.label[r.row].tolist()]
+        return r.e[r.row], r.k[r.row], r.m[r.row], labels, r.d_e[r.row]
+
+    return run
 
 
 @pytest.fixture(scope="session")

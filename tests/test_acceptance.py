@@ -17,16 +17,16 @@ import numpy as np
 import pytest
 
 import coordgeo as cg
-from coordgeo import kernels
 from coordgeo.coefficients import (check_loose_bounds, check_upper_bound,
                                    d_e, descriptor, e_one)
 from coordgeo.shape import moment_per_neighbour, sphericity
 from coordgeo.snapshot import make_lattice, neighbours_cutoff
-from coordgeo.spacemap import (_classical_mds, _smacof, class_averages,
+from coordgeo.spacemap import (_classical_mds, class_averages,
                                hierarchical_cluster, mds, typicality,
                                verify_metric)
 
 from published import CLASS_AVERAGES, TABLE
+from references import brute_neighbour_csr, smacof
 
 # published TBP moment and HBP sphericity contradict the published sphericity
 # and moment of their own rows for any single construction; they are excluded
@@ -142,7 +142,7 @@ def test_criterion_07_mds_quality(dmatrix):
         starts.append(rng.normal(scale=d.max() / 2.0, size=(22, 8)))
     best8 = np.inf
     for x0 in starts:
-        _, trace, _ = _smacof(d, x0, max_iter=10000, rtol=1e-10)
+        _, trace, _ = smacof(d, x0, max_iter=10000, rtol=1e-10)
         assert np.all(np.diff(np.array(trace)) <= 1e-12)  # majorization
         best8 = min(best8, trace[-1])
     emb12 = mds(dmatrix, dims=12, seed=0, restarts=20)
@@ -210,8 +210,8 @@ def test_criterion_09_snapshots(analyze):
                          box=box if trial % 2 else None)
         rcut = float(rng.uniform(0.8, 1.4))
         a = neighbours_cutoff(frame, rcut)
-        starts, indices = kernels._np_neighbour_pairs(frame.positions,
-                                                      frame.box, rcut)
+        starts, indices = brute_neighbour_csr(frame.positions, frame.box,
+                                              rcut)
         assert np.array_equal(a.starts, starts)
         assert np.array_equal(a.indices, indices)
     print(f"\n[criterion 9] PASS snapshots: 4 ideal lattices 100% at d=0, "

@@ -331,6 +331,89 @@ def test_analyze_csv_bytes_equal_the_fstring_rows(tmp_path, analyze):
     assert len(rows) == 1 + isolated.n + open_.n
 
 
+def _descriptor_set(rng, n, nbins):
+    """n descriptors (k, f) drawn with repeats from a random pool that holds
+    k = 0 and k = 1, counts above 255, and two rows that differ only by 256
+    in one count (one key at 8 bits)."""
+    pool = int(rng.integers(4, 40))
+    k = rng.integers(0, 30, size=pool)
+    f = rng.integers(0, 4, size=(pool, nbins))
+    big = np.flatnonzero(rng.random(pool) < 0.2)
+    f[big, rng.integers(0, nbins, size=len(big))] = rng.integers(256, 1000,
+                                                                  len(big))
+    k[:2] = 0, 1
+    f[k < 2] = 0
+    k[-2:] = max(k[-2], 2)
+    f[-1] = f[-2]
+    f[-1, 0] += 256
+    f[(k >= 2) & (f.sum(axis=1) == 0), 1] = 1
+    pick = rng.integers(0, pool, size=n)
+    pick[:4] = np.array([0, 1, pool - 2, pool - 1])[:n]
+    return k[pick], f[pick]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_per_descriptor_labels_equal_per_particle(tmp_path, monkeypatch,
+                                                  catalog, discretizer,
+                                                  analyze, seed):
+    """analyze_frame classifies each distinct (k, f) row of a row block once.
+    On random descriptor sets, its labels, d_E and e, the CSV bytes and the
+    summary equal those of classifying every particle, and each block
+    classifies as many rows as it holds distinct descriptors."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 300))
+    kk, fc = _descriptor_set(rng, n, len(discretizer.bin_edges) + 1)
+    cat_k, cat_f = cg.descriptor_arrays(catalog.geometries, discretizer)
+    # the reference: every particle classified, e from its own k and m
+    lab_idx, want_d = kernels.classify_particles(kk, fc, cat_k, cat_f)
+    mm = fc.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        want_e = np.log2((kk * kk - kk) / (2.0 * mm))
+    want_e[kk < 2] = np.nan
+    names = [*catalog.codes, "-"]
+    want_labels = [names[i] for i in lab_idx.tolist()]
+
+    def profile(pos, box, starts, idx, edges, first=0):
+        return kk[first:first + len(starts) - 1], fc[first:first + len(starts) - 1]
+
+    classified = []
+    classify = kernels.classify_particles
+
+    def counted(k, *args):
+        classified.append(len(k))
+        return classify(k, *args)
+
+    monkeypatch.setattr(kernels, "profile_particles", profile)
+    monkeypatch.setattr(kernels, "classify_particles", counted)
+    monkeypatch.setattr(kernels, "_BUDGET", int(rng.choice([7, 50, 1 << 30])))
+    # particles 10 apart have no neighbour within 1: the rows are kk's
+    frame = Frame(positions=10.0 * np.arange(n)[:, None] * np.ones(3))
+    nl = cg.neighbours_cutoff(frame, 1.0)
+    e, k, m, labels, dists = analyze(frame, nl)
+    assert k.tobytes() == kk.tobytes() and m.tobytes() == mm.tobytes()
+    assert labels == want_labels
+    assert dists.tobytes() == want_d.tobytes()
+    assert e.tobytes() == want_e.tobytes()
+    rows = np.column_stack([kk, fc])
+    assert classified == [len(np.unique(rows[lo:hi], axis=0))
+                          for lo, hi in kernels.row_blocks(nl.starts)]
+    xyz, out = tmp_path / "one.xyz", tmp_path / "pp.csv"
+    write_frames(xyz, [frame])
+    assert _run(["analyze", str(xyz), "--rcut", "1", "--out", str(out),
+                 "--summary", str(tmp_path / "s.json")]) == 0
+    assert out.read_text() == "frame,id,k,m,e,label,d_e\n" + "".join(
+        f"0,{i},{a},{b},{c:.6f},{d},{g:.6f}\n" for i, (a, b, c, d, g) in
+        enumerate(zip(kk.tolist(), mm.tolist(), want_e.tolist(), want_labels,
+                      want_d.tolist())))
+    codes, counts = np.unique(want_labels, return_counts=True)
+    finite = want_e[~np.isnan(want_e)]
+    summary = [{"frame": 0, "n": n, "r_cut": 1.0,
+                "labels": dict(zip(codes.tolist(), counts.tolist())),
+                "mean_e": float(finite.mean()) if len(finite) else None}]
+    assert (tmp_path / "s.json").read_text() == json.dumps(summary,
+                                                           indent=2) + "\n"
+
+
 def test_analyze_coincident_particles_fail(tmp_path, capsys):
     frame = make_lattice("fcc", 3)
     dup = Frame(positions=np.vstack([frame.positions, frame.positions[:1]]),

@@ -15,6 +15,8 @@ from coordgeo import kernels
 from coordgeo.coefficients import descriptor_arrays
 from coordgeo.snapshot import make_lattice
 
+from references import brute_neighbour_csr
+
 
 @pytest.fixture(scope="module")
 def setup(catalog, discretizer):
@@ -25,12 +27,9 @@ def setup(catalog, discretizer):
 
 
 def _cell_list_vs_brute(pos, box, rcut):
-    """neighbour_csr equals the brute force, which it never calls."""
-    with mock.patch.object(kernels, "_np_neighbour_pairs",
-                           wraps=kernels._np_neighbour_pairs) as brute:
-        s1, i1 = kernels.neighbour_csr(pos, box, rcut)
-    assert not brute.called
-    s2, i2 = kernels._np_neighbour_pairs(pos, box, rcut)
+    """neighbour_csr equals the brute force."""
+    s1, i1 = kernels.neighbour_csr(pos, box, rcut)
+    s2, i2 = brute_neighbour_csr(pos, box, rcut)
     assert np.array_equal(s1, s2)
     assert np.array_equal(i1, i2)
 
@@ -65,6 +64,50 @@ def test_cell_list_equals_brute_force(seed, n, periodic, cells, slack, tilt):
     # the narrowest axis gets `cells` cells of at least rcut
     rcut = width / (cells + slack)
     _cell_list_vs_brute(pos, box if periodic else None, rcut)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 150),
+       periodic=st.booleans(), cells=st.integers(1, 5),
+       slack=st.floats(0.01, 0.99), tilt=st.floats(-0.5, 0.5))
+def test_pairs_within_yields_each_pair_once(seed, n, periodic, cells, slack,
+                                            tilt):
+    """Triclinic boxes and open frames with 1 to 5 cells on the narrowest
+    axis: every pair within rcut is yielded once, as i < j, with r2 bitwise
+    _pair_r2 of (i, j) in input order; and each candidate reaches _pair_r2
+    once, in order, so no pair is evaluated from both ends."""
+    rng = np.random.default_rng(seed)
+    lengths = rng.uniform(3.0, 8.0, size=3)
+    box = np.diag(lengths)
+    box[np.tril_indices(3, -1)] = tilt * lengths[0] * rng.uniform(-1, 1, 3)
+    pos = rng.uniform(-0.3, 1.3, size=(n, 3)) @ box
+    if periodic:
+        width = kernels._perpendicular_widths(box).min()
+    else:
+        width = float(np.ptp(pos, axis=0).min())
+        box = None
+    assume(width > 0.0)
+    rcut = width / (cells + slack)
+    pair_r2 = kernels._pair_r2
+    seen = []
+
+    def recorded(cols, i, j, box, inv):
+        seen.append((i, j))
+        return pair_r2(cols, i, j, box, inv)
+
+    with mock.patch.object(kernels, "_pair_r2", side_effect=recorded):
+        i, j, r2 = (np.concatenate(c) for c in
+                    zip(*kernels.pairs_within(pos, box, rcut)))
+    assert (i < j).all()
+    starts, idx = brute_neighbour_csr(pos, box, rcut)
+    owner = np.repeat(np.arange(n), np.diff(starts))
+    want = np.sort((owner * n + idx)[owner < idx])
+    assert np.array_equal(np.sort(i * n + j), want)
+    inv = None if box is None else np.linalg.inv(box)
+    assert r2.tobytes() == pair_r2(pos.T.copy(), i, j, box, inv).tobytes()
+    p, q = (np.concatenate(c) for c in zip(*seen))
+    assert (p < q).all()
+    assert len(np.unique(p * n + q)) == len(p)
 
 
 def _dot3(u, v):

@@ -8,6 +8,8 @@ from coordgeo import kernels, snapshot
 from coordgeo.snapshot import (Frame, auto_cutoff, iter_frames, make_lattice,
                                neighbours_cutoff, read_frames, write_frames)
 
+from references import brute_neighbour_csr
+
 
 def test_read_minimal_two_line_xyz(tmp_path):
     p = tmp_path / "one.xyz"
@@ -144,6 +146,33 @@ def test_iter_frames_is_lazy(tmp_path):
         next(frames)
 
 
+def test_suspended_reader_holds_no_lines(tmp_path):
+    """While its frame is in use, the suspended iter_frames holds none of the
+    frame's lines: closing it releases only the file's buffers.
+
+    32 000 particles, 1.36 MB of text a frame: closing the generator released
+    13 kB (1 % of the text) with numpy 2.4, against 3.5 MB (2.6 times the
+    text) when its locals kept the line list; the bound is 5 %.
+    """
+    import tracemalloc
+
+    fr = make_lattice("fcc", 20, noise=0.01, seed=1)
+    p = tmp_path / "two.extxyz"
+    write_frames(p, [fr, fr])
+    text = p.stat().st_size / 2
+    tracemalloc.start()
+    try:
+        frames = iter_frames(p)
+        first = next(frames)
+        held = tracemalloc.get_traced_memory()[0]
+        frames.close()
+        released = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert first.n == 32000
+    assert released < 0.05 * text
+
+
 def test_neighbours_fcc_first_shell():
     fr = make_lattice("fcc", 4)  # a = 1, first shell at 1/sqrt(2)
     nl = neighbours_cutoff(fr, 0.85)
@@ -197,8 +226,7 @@ def test_cell_equals_brute_random():
                    box=box if trial % 2 == 0 else None)
         rcut = float(rng.uniform(0.7, 1.5))
         a = neighbours_cutoff(fr, rcut)
-        starts, indices = kernels._np_neighbour_pairs(fr.positions, fr.box,
-                                                      rcut)
+        starts, indices = brute_neighbour_csr(fr.positions, fr.box, rcut)
         assert np.array_equal(a.starts, starts)
         assert np.array_equal(a.indices, indices)
 
@@ -295,8 +323,7 @@ def _auto_cutoff_loop(frame):
     """Reference auto_cutoff: a neighbour list at the full radius, then every
     pair distance recomputed in a loop over particles."""
     rmax = _rdf_rmax(frame)
-    starts, indices = kernels._np_neighbour_pairs(frame.positions, frame.box,
-                                                  rmax)
+    starts, indices = brute_neighbour_csr(frame.positions, frame.box, rmax)
     dists = []
     inv = np.linalg.inv(frame.box) if frame.box is not None else None
     for i in range(frame.n):

@@ -6,10 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 import coordgeo as cg
 from coordgeo.coefficients import d_e, descriptor
-from coordgeo.spacemap import (DistanceMatrix, _smacof, _smacof_stack,
+from coordgeo.spacemap import (DistanceMatrix, _smacof_stack,
                                _classical_mds, _delaunay_triangles, delaunay_2d,
                                hierarchical_cluster, mds, typicality,
                                verify_metric)
+
+from references import smacof
 
 
 def _distance_matrix_loop(catalog, disc):
@@ -228,7 +230,7 @@ def test_smacof_trace_nonincreasing(dmatrix):
     for x0 in (_classical_mds(dmatrix.d, 8),
                rng.normal(size=(22, 8)),
                rng.normal(size=(22, 8))):
-        _, trace, _ = _smacof(dmatrix.d, x0, max_iter=2000, rtol=1e-10)
+        _, trace, _ = smacof(dmatrix.d, x0, max_iter=2000, rtol=1e-10)
         diffs = np.diff(np.array(trace))
         assert np.all(diffs <= 1e-12)
 
@@ -241,7 +243,7 @@ def test_mds_matches_loop_of_single_restarts(dmatrix, embedding):
     starts += [rng.normal(scale=d.max() / 2.0, size=(22, 8)) for _ in range(19)]
     best = None
     for x0 in starts:
-        x, trace, conv = _smacof(d, x0, max_iter=10000, rtol=1e-10)
+        x, trace, conv = smacof(d, x0, max_iter=10000, rtol=1e-10)
         if best is None or trace[-1] < best[1][-1] - 1e-15:  # mds's selection rule
             best = (x, trace, conv)
     x, trace, conv = best
@@ -296,7 +298,7 @@ def test_smacof_stack_rows_match_reference_loop(dmatrix, dims):
     stacked = _smacof_stack(d, np.stack(starts), max_iter=max_iter, rtol=1e-10)
     assert {conv for _, _, conv in stacked} == {True, False}
     for x0, (x, trace, conv) in zip(starts, stacked):
-        for x1, trace1, conv1 in (_smacof(d, x0, max_iter=max_iter, rtol=1e-10),
+        for x1, trace1, conv1 in (smacof(d, x0, max_iter=max_iter, rtol=1e-10),
                                   _smacof_loop(d, x0, max_iter=max_iter, rtol=1e-10)):
             assert np.array_equal(x, x1)
             assert trace.tolist() == trace1
