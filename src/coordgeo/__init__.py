@@ -18,7 +18,7 @@ from .hull import HullResult, convex_hull
 from .shape import moment_per_neighbour, sphericity
 from .snapshot import (Frame, FrameResult, NeighbourList, analyze_frame,
                        auto_cutoff, iter_frames, make_lattice,
-                       neighbours_cutoff, read_frames, write_frames)
+                       neighbours_cutoff, write_frames)
 from .spacemap import (AxiomReport, Dendrogram, DistanceMatrix, Embedding,
                        MetricReport, TypicalityReport, class_averages,
                        delaunay_2d, distance_matrix, hierarchical_cluster, mds,

@@ -22,7 +22,8 @@ minimum-image step for the block's bond vectors, then stacked Gram matrices
 per k, their rows gathered by np.take.  Each chunk's distinct angles come
 from one closed form over its clusters, for every gap count at once
 (_distinct_counts); only bins holding equal gaps one or two apart go through
-the greedy rounds of _merge_clusters.  A particle's profile is the catalog's
+the greedy rounds of _merge_clusters, on the same per-cluster arrays, one gap
+of every such bin a round.  A particle's profile is the catalog's
 descriptor format, (k, per-class distinct-angle counts), so classification
 takes d_E from coefficients.distances, the function that builds the distance
 matrix.  One constant, _BUDGET, bounds the temporaries of every step: the
@@ -331,8 +332,8 @@ def _distinct_counts(ang, cls, nbins):
     A cluster of three or more never proposes a gap, and a cluster's other
     gap can go before its nearer one only if the two are equal, or, for a
     pair, if its outer gaps are; so every removal above happens, and no
-    other.  A bin holding equal finite gaps one or two apart goes through
-    _merge_runs instead.
+    other.  A bin holding equal finite gaps one or two apart takes its count
+    from _merge_clusters instead, given its clusters' left gaps and sizes.
     """
     far = 2.0 * VALUE_RESOLUTION
     n, width = ang.shape
@@ -374,72 +375,54 @@ def _distinct_counts(ang, cls, nbins):
     if tie.any():
         run = np.cumsum(~finite)
         sel = np.isin(run, run[tie])
-        head = ~finite[sel]  # the first cluster of each tied bin
-        ngaps = np.diff(np.append(np.flatnonzero(head), len(head))) - 1
-        first = start[sel][head]
-        counts[first // width * nbins + cls[first]] = _merge_runs(
-            ngaps, left[sel][~head], size[sel])
+        first = start[sel][~finite[sel]]
+        counts[first // width * nbins + cls[first]] = _merge_clusters(
+            left[sel], size[sel])
     return counts.reshape(n, nbins)
 
 
-def _merge_runs(ngaps, gaps, sizes):
-    """Distinct-angle count of each run of clusters: ngaps holds each run's
-    gap count G, gaps and sizes its G gaps and G + 1 cluster sizes, all runs
-    concatenated in order.
-
-    The runs are grouped by gap count G and each group goes through
-    _merge_clusters at once.
-    """
-    count = ngaps + 1
-    gap_at = np.cumsum(ngaps) - ngaps
-    size_at = gap_at + np.arange(len(ngaps))
-    for g in np.unique(ngaps).tolist():
-        sel = np.flatnonzero(ngaps == g)
-        count[sel] = _merge_clusters(gaps[gap_at[sel, None] + np.arange(g)],
-                                     sizes[size_at[sel, None] + np.arange(g + 1)])
-    return count
-
-
 def _merge_clusters(gaps, sizes):
-    """Distinct-angle clusters of runs with G gaps each: gaps (R, G) between
-    consecutive clusters, cluster sizes (R, G + 1).
+    """Distinct-angle count of each bin of clusters: gaps holds each
+    cluster's gap before it, inf for a bin's first cluster, and sizes its
+    member count, the bins' clusters concatenated in order.
 
     A cluster needs at least three members, or a separation of more than twice
     VALUE_RESOLUTION from its neighbours, to count as its own distinct angle;
     smaller nearby clusters are measurement tails and fold into the nearest
     neighbour.  (Every same-bin splitting among the reference geometries has
     multiplicity >= 4 or separation >= 4 degrees, so ideal neighbourhoods are
-    never over-merged.)  Each round removes one gap from every row still
+    never over-merged.)  Each round removes one gap from every bin still
     merging: a cluster of size <= 2 is a candidate with its smaller gap (the
     right one on a tie); it qualifies with size 1 or a gap <= 2 *
-    VALUE_RESOLUTION; the first smallest qualifying gap merges.  A row with
-    no qualifying candidate is done, and counts its gaps left + 1.
+    VALUE_RESOLUTION; the first smallest qualifying gap merges.  A bin with
+    no qualifying candidate is done, and counts its clusters left.
     """
     far = 2.0 * VALUE_RESOLUTION
-    g = gaps.shape[1]
-    count = np.full(len(gaps), g + 1)
-    live = np.arange(len(gaps))
-    # gaps padded with inf at both ends: cluster c lies between pad[:, c] and
-    # pad[:, c + 1], so the first and last cluster have one finite gap
-    pad = np.full((len(gaps), g + 2), np.inf)
-    pad[:, 1:-1] = gaps
-    while g and len(live):
-        left, right = pad[:, :-1], pad[:, 1:]
-        take_left = left < right
-        gap = np.where(take_left, left, right)
-        gap[(sizes > 2) | ((sizes == 2) & (gap > far))] = np.inf
-        c = np.argmin(gap, axis=1)
-        rows = np.arange(len(live))
-        go = np.isfinite(gap[rows, c])
-        b = (c - take_left[rows, c])[go]
-        live, pad, sizes = live[go], pad[go], sizes[go]
-        rows = np.arange(len(live))
-        # clusters b and b + 1 become one, and gap b goes
-        sizes[rows, b] += sizes[rows, b + 1]
-        sizes = sizes[np.arange(g + 1) != b[:, None] + 1].reshape(len(live), g)
-        pad = pad[np.arange(g + 2) != b[:, None] + 1].reshape(len(live), g + 1)
-        g -= 1
-        count[live] = g + 1
+    count = np.diff(np.append(np.flatnonzero(gaps == np.inf), len(gaps)))
+    live = np.arange(len(count))
+    while len(live):
+        n = count[live]
+        head = np.cumsum(n) - n
+        # the next bin's first gap is inf, so right stays within the bin
+        right = np.append(gaps[1:], np.inf)
+        take_left = gaps < right
+        near = np.minimum(gaps, right)
+        near[(sizes > 2) | ((sizes == 2) & (near > far))] = np.inf
+        best = np.minimum.reduceat(near, head)
+        go = best < np.inf
+        # the first cluster of each bin that proposes its smallest gap
+        at = np.arange(len(near))
+        at[near != np.repeat(best, n)] = len(near)
+        c = np.minimum.reduceat(at, head)[go]
+        # clusters b and b + 1 become one, and the gap between them goes;
+        # finished bins leave
+        b = c - take_left[c]
+        sizes[b] += sizes[b + 1]
+        keep = np.repeat(go, n)
+        keep[b + 1] = False
+        gaps, sizes = gaps[keep], sizes[keep]
+        live = live[go]
+        count[live] -= 1
     return count
 
 

@@ -48,7 +48,6 @@ RDF_CAP = 2.0    # auto_cutoff's first pair search, in mean particle spacings
 __all__ = [
     "Frame",
     "iter_frames",
-    "read_frames",
     "write_frames",
     "NeighbourList",
     "neighbours_cutoff",
@@ -82,8 +81,13 @@ class Frame:
                 raise ValueError("non-finite periodic box")
             # against the volume of a box of the same edge lengths, so that
             # the test does not depend on the unit of length
-            lengths = np.prod(np.linalg.norm(self.box, axis=1))
-            if abs(np.linalg.det(self.box)) <= 1e-12 * lengths:
+            with np.errstate(over="ignore"):
+                lengths = np.prod(np.linalg.norm(self.box, axis=1))
+                volume = abs(np.linalg.det(self.box))
+            if not (np.isfinite(volume) and np.isfinite(lengths)):
+                raise ValueError("periodic box overflows: its volume or edge "
+                                 "lengths exceed the float range")
+            if volume <= 1e-12 * lengths:
                 raise ValueError("singular periodic box")
         if self.species is not None and len(self.species) != len(self.positions):
             raise ValueError("species length mismatch")
@@ -239,11 +243,6 @@ def _read_frame(path, lines, start, head, fmt):
     return _parse_frame(path, start, comment, atoms, fmt)
 
 
-def read_frames(path, fmt: str = "auto") -> list:
-    """Every frame of an XYZ or extended-XYZ trajectory (see iter_frames)."""
-    return list(iter_frames(path, fmt))
-
-
 def write_frames(path, frames, fmt: str = "auto") -> None:
     """Write frames as (extended-)XYZ; a frame with a box gets a Lattice entry
     unless fmt is "xyz", and "extxyz" refuses a frame without one."""
@@ -298,7 +297,9 @@ def neighbours_cutoff(frame: Frame, r_cut: float, pairs=None) -> NeighbourList:
                 f"r_cut={r_cut} exceeds half the smallest box width "
                 f"({0.5 * widths.min():.6g}); minimum image is ambiguous")
     elif frame.n >= 3:
-        diagonal = float(np.linalg.norm(pos.max(axis=0) - pos.min(axis=0)))
+        # a diagonal that overflows is inf, which no finite r_cut reaches
+        with np.errstate(over="ignore"):
+            diagonal = float(np.linalg.norm(pos.max(axis=0) - pos.min(axis=0)))
         if r_cut >= diagonal:
             raise ValueError(
                 f"r_cut={r_cut} reaches the diagonal of the open frame's "
@@ -338,9 +339,13 @@ def auto_cutoff(frame: Frame):
         volume = abs(np.linalg.det(box))
     else:
         span = pos.max(axis=0) - pos.min(axis=0)
-        # a frame of coincident particles has no length scale of its own
-        rmax = float(np.linalg.norm(span)) / 2.0 or 1e-9
-        volume = float(np.prod(span))
+        with np.errstate(over="ignore"):
+            # a frame of coincident particles has no length scale of its own
+            rmax = float(np.linalg.norm(span)) / 2.0 or 1e-9
+            volume = float(np.prod(span))
+        if not (math.isfinite(rmax) and math.isfinite(volume)):
+            raise ValueError("the open frame's extent overflows: its bounding "
+                             "box diagonal or volume exceeds the float range")
     spacing = (volume / frame.n) ** (1.0 / 3.0)
     nbins = RDF_BINS
     if rmax > RDF_SPAN * spacing > 0.0:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -247,6 +248,39 @@ def test_analyze_auto_cutoff_failure_names_rcut(tmp_path, capsys):
                                                 "0,1,1,0,nan,-,nan"]
 
 
+def _overflowing_frame(tmp_path):
+    """An open frame whose extent is finite but whose diagonal overflows."""
+    xyz = tmp_path / "huge.xyz"
+    xyz.write_text("3\n\nX 0 0 0\nX 1e300 0 0\nX 0 1 0\n")
+    return xyz
+
+
+def test_analyze_overflowing_extent_is_refused_by_name(tmp_path, capsys):
+    """Without --rcut, a frame whose bounding box overflows is refused as
+    such, with no numpy warning and no CSV."""
+    xyz, out = _overflowing_frame(tmp_path), tmp_path / "pp.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _run(["analyze", str(xyz), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: frame 0: the open frame's extent overflows")
+    assert "--rcut" in err
+    assert not out.exists()
+
+
+def test_analyze_overflowing_extent_with_rcut(tmp_path):
+    """With --rcut the same frame is analyzed, with no numpy warning: no
+    particle lies within the cutoff of the one 1e300 away."""
+    xyz, out = _overflowing_frame(tmp_path), tmp_path / "pp.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _run(["analyze", str(xyz), "--rcut", "1.5",
+                     "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[1:] == ["0,0,1,0,nan,-,nan",
+                                                "0,1,0,0,nan,-,nan",
+                                                "0,2,1,0,nan,-,nan"]
+
+
 def test_analyze_profiles_each_frame_once(tmp_path, monkeypatch, analyze):
     frames = [make_lattice("fcc", 3, noise=0.01, seed=1),
               make_lattice("fcc", 3, noise=0.03, seed=2)]
@@ -265,7 +299,7 @@ def test_analyze_profiles_each_frame_once(tmp_path, monkeypatch, analyze):
     assert len(calls) == 2
     monkeypatch.undo()
     expect = ["frame,id,k,m,e,label,d_e"]
-    for fi, frame in enumerate(cg.read_frames(xyz)):
+    for fi, frame in enumerate(cg.iter_frames(xyz)):
         nl = cg.neighbours_cutoff(frame, 0.85)
         e, kk, mm, labels, dists = analyze(frame, nl)
         for i in range(frame.n):
@@ -324,7 +358,7 @@ def test_analyze_csv_bytes_equal_the_fstring_rows(tmp_path, analyze):
     out = tmp_path / "pp.csv"
     assert _run(["analyze", str(xyz), "--rcut", "0.85", "--out", str(out)]) == 0
     got = out.read_bytes()
-    assert got == _fstring_csv(cg.read_frames(xyz), 0.85, analyze)
+    assert got == _fstring_csv(cg.iter_frames(xyz), 0.85, analyze)
     rows = got.splitlines()
     assert rows[1] == b"0,0,0,0,nan,-,nan"
     assert rows[-1] == b"1,109,1,0,nan,-,nan"

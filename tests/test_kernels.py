@@ -451,23 +451,23 @@ _DISTINCT_GAPS = st.lists(st.floats(_RES, 4 * _RES, exclude_min=True),
 @given(gaps=_DISTINCT_GAPS, base=_BASE,
        members=st.lists(st.lists(_STEP, max_size=3), min_size=31, max_size=31))
 def test_merge_without_ties_is_closed_form(gaps, base, members):
-    """Lists whose gaps all differ take no round of _merge_runs and still
+    """Lists whose gaps all differ take no round of _merge_clusters and still
     equal the reference."""
     clusters = list(zip([0.0] + gaps, members))
     vals = _sorted_values(base, clusters)
     found = [b - a for a, b in zip(vals, vals[1:]) if b - a > _RES]
     assume(len(set(found)) == len(found))
-    with mock.patch.object(kernels, "_merge_runs") as rounds:
+    with mock.patch.object(kernels, "_merge_clusters") as rounds:
         got = _merged_counts([vals])[0]
     assert not rounds.called
     assert got == _count_clusters(vals)
 
 
 def test_tied_bins_take_the_rounds():
-    """A bin holding equal gaps one or two apart goes through _merge_runs; a
-    tie three apart, or across a bin edge, does not.  The rounds give 5 for the
-    pairs 1.8 apart, where the closed form would merge them all into one, and
-    3 for the second list, where it would give 2."""
+    """A bin holding equal gaps one or two apart goes through _merge_clusters;
+    a tie three apart, or across a bin edge, does not.  The rounds give 5 for
+    the pairs 1.8 apart, where the closed form would merge them all into one,
+    and 3 for the second list, where it would give 2."""
     ends = [(0, [0.1, 0.1])]
     lists = [_sorted_values(10.0, clusters) for clusters in [
         _FIXED[8],
@@ -482,16 +482,20 @@ def test_tied_bins_take_the_rounds():
     ]]
     ref = [_count_clusters(vals) for vals in lists]
     assert ref[:2] == [5, 3]
-    with mock.patch.object(kernels, "_merge_runs",
-                           wraps=kernels._merge_runs) as rounds:
+    with mock.patch.object(kernels, "_merge_clusters",
+                           wraps=kernels._merge_clusters) as rounds:
         assert _merged_counts(lists).tolist() == ref
-    (ngaps, _, _), _ = rounds.call_args
+    (gaps, sizes), _ = rounds.call_args
+    # each bin's first cluster has no gap before it
+    head = np.flatnonzero(gaps == np.inf)
+    ngaps = np.diff(np.append(head, len(gaps))) - 1
     assert rounds.call_count == 1 and ngaps.tolist() == [9, 4]
+    assert len(sizes) == len(gaps)
     # the two tied bins take their counts from the rounds alone
-    def sentinel(ngaps, *_):
-        return np.full(len(ngaps), -1)
+    def sentinel(gaps, _):
+        return np.full(np.count_nonzero(gaps == np.inf), -1)
 
-    with mock.patch.object(kernels, "_merge_runs", side_effect=sentinel):
+    with mock.patch.object(kernels, "_merge_clusters", side_effect=sentinel):
         assert _merged_counts(lists).tolist() == [-1, -1] + ref[2:]
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 import coordgeo as cg
 from coordgeo import kernels, snapshot
 from coordgeo.snapshot import (Frame, auto_cutoff, iter_frames, make_lattice,
-                               neighbours_cutoff, read_frames, write_frames)
+                               neighbours_cutoff, write_frames)
 
 from references import brute_neighbour_csr
 
@@ -14,7 +15,7 @@ from references import brute_neighbour_csr
 def test_read_minimal_two_line_xyz(tmp_path):
     p = tmp_path / "one.xyz"
     p.write_text("1\nX 0.0 0.0 0.0\n")
-    frames = read_frames(p)
+    frames = list(iter_frames(p))
     assert len(frames) == 1
     assert frames[0].n == 1
     assert frames[0].box is None
@@ -23,7 +24,7 @@ def test_read_minimal_two_line_xyz(tmp_path):
 def test_read_multi_frame_order(tmp_path):
     p = tmp_path / "two.xyz"
     p.write_text("1\nframe one\nA 0 0 0\n1\nframe two\nB 1 2 3\n")
-    frames = read_frames(p)
+    frames = list(iter_frames(p))
     assert len(frames) == 2
     assert frames[0].species == ["A"]
     assert frames[1].species == ["B"]
@@ -37,7 +38,7 @@ def test_extxyz_roundtrip(tmp_path):
                species=["Cu"] * 17)
     p = tmp_path / "t.extxyz"
     write_frames(p, [fr])
-    back = read_frames(p)
+    back = list(iter_frames(p))
     assert len(back) == 1
     assert np.allclose(back[0].box, box)
     assert np.allclose(back[0].positions, fr.positions, atol=1e-9)
@@ -58,21 +59,21 @@ def test_write_extxyz_refuses_a_boxless_frame(tmp_path):
         write_frames(p, frames, fmt="extxyz")
     assert not p.exists()
     write_frames(p, frames[:1], fmt="extxyz")
-    assert read_frames(p, fmt="extxyz")[0].box is not None
+    assert list(iter_frames(p, fmt="extxyz"))[0].box is not None
 
 
 def test_read_malformed_header(tmp_path):
     p = tmp_path / "bad.xyz"
     p.write_text("nonsense\nmore\n")
     with pytest.raises(ValueError, match="bad.xyz:1"):
-        read_frames(p)
+        list(iter_frames(p))
 
 
 def test_read_truncated_frame(tmp_path):
     p = tmp_path / "trunc.xyz"
     p.write_text("5\ncomment\nX 0 0 0\n")
     with pytest.raises(ValueError, match="truncated"):
-        read_frames(p)
+        list(iter_frames(p))
 
 
 @pytest.mark.parametrize("text, where, what", [
@@ -83,6 +84,8 @@ def test_read_truncated_frame(tmp_path):
     ('1\nLattice="1 0 0 0 1 0 0 0 0"\nX 0 0 0\n', 2, "singular periodic box"),
     ('1\nLattice="3 nan 0 0 3 0 0 0 3"\nX 0 0 0\n', 2, "non-finite periodic box"),
     ('1\nLattice="3 0 0 0 inf 0 0 0 3"\nX 0 0 0\n', 2, "non-finite periodic box"),
+    ('1\nLattice="1e300 0 0 0 1e300 0 0 0 1e300"\nX 0 0 0\n', 2,
+     "periodic box overflows"),
     ("1\nc\nX 0 0 0\n2\nc\nX 0 0 0\nX 0 nan 0\n", 7, "non-finite coordinates"),
     ("1\nc\nX 0 0 0\n2\nc\nX 0 0 0\nX 0 inf\n", 7, "expected 'symbol x y z'"),
     ("1\nc\nX 0 0 0\n\n0\nc\n", 5, "positive atom count"),
@@ -94,28 +97,32 @@ def test_read_truncated_frame(tmp_path):
     ('1\nLattice="3 0 0 0 3 0 0 0 3" pbc="F F F\nX 0 0 0\n', 2,
      "unterminated pbc entry"),
 ], ids=["float", "unterminated-lattice", "short-lattice", "lattice-float",
-        "singular-box", "nan-box", "inf-box", "nan", "short-record",
+        "singular-box", "nan-box", "inf-box", "overflow-box", "nan",
+        "short-record",
         "zero-count", "nan-no-comment", "mixed-pbc", "short-pbc",
         "pbc-without-lattice", "unterminated-pbc"])
 def test_read_errors_name_the_line(tmp_path, text, where, what):
     p = tmp_path / "bad.xyz"
     p.write_text(text)
-    with pytest.raises(ValueError, match=f"bad.xyz:{where}: .*{what}"):
-        read_frames(p)
+    # a numpy warning on the way would be raised instead of the ValueError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"bad.xyz:{where}: .*{what}"):
+            list(iter_frames(p))
 
 
 def test_read_format_is_checked(tmp_path):
     p = tmp_path / "one.xyz"
     p.write_text('1\nLattice="3 0 0 0 3 0 0 0 3"\nX 0 0 0\n')
-    assert read_frames(p, fmt="xyz")[0].box is None
-    assert read_frames(p, fmt="auto")[0].box is not None
-    assert read_frames(p, fmt="extxyz")[0].box is not None
+    assert list(iter_frames(p, fmt="xyz"))[0].box is None
+    assert list(iter_frames(p, fmt="auto"))[0].box is not None
+    assert list(iter_frames(p, fmt="extxyz"))[0].box is not None
     for fmt in ("bogus", "extended-xyz"):
         with pytest.raises(ValueError, match="unknown format"):
-            read_frames(p, fmt=fmt)
+            list(iter_frames(p, fmt=fmt))
     p.write_text("1\nno box\nX 0 0 0\n")
     with pytest.raises(ValueError, match="one.xyz:2: missing Lattice"):
-        read_frames(p, fmt="extxyz")
+        list(iter_frames(p, fmt="extxyz"))
 
 
 def test_read_pbc_flags(tmp_path):
@@ -129,7 +136,7 @@ def test_read_pbc_flags(tmp_path):
                      f'Lattice="10 0 0 0 10 0 0 0 10" pbc="{flags}"\n'
                      f"X 0.2 0 0\nX 9.8 0 0\n")
         for fmt in ("auto", "extxyz"):
-            fr = read_frames(p, fmt=fmt)[0]
+            fr = list(iter_frames(p, fmt=fmt))[0]
             assert (fr.box is None) == (box is None)
             assert box is None or np.array_equal(fr.box, box)
             k = neighbours_cutoff(fr, 1.0).counts.tolist()
@@ -656,12 +663,12 @@ def test_reader_falls_back_to_the_line_loop(tmp_path):
     """What float() accepts and numpy's parser refuses still reads."""
     p = tmp_path / "odd.xyz"
     p.write_text("2\n\nX 1_0 0 0\nY 0 2 3\n")
-    fr = read_frames(p)[0]
+    fr = list(iter_frames(p))[0]
     assert fr.species == ["X", "Y"]
     assert fr.positions.tolist() == [[10.0, 0.0, 0.0], [0.0, 2.0, 3.0]]
     p.write_text("2\n\nX 1 0 0\n\n")
     with pytest.raises(ValueError, match="odd.xyz:4: expected 'symbol x y z'"):
-        read_frames(p)
+        list(iter_frames(p))
 
 
 def _clusters(m=3):
