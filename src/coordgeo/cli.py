@@ -279,7 +279,6 @@ def cmd_analyze(args):
     descriptors = descriptor_arrays(catalog.geometries, disc)
     summary = []
     with _output(args.out) as out:
-        out.write("frame,id,k,m,e,label,d_e\n")
         for fi, frame in enumerate(iter_frames(args.path, fmt=args.format)):
             rcut, pairs = args.rcut, None
             if rcut is None:
@@ -291,6 +290,9 @@ def cmd_analyze(args):
             nl = neighbours_cutoff(frame, rcut, pairs)
             result = analyze_frame(frame, nl, catalog.codes, descriptors, disc)
             tails = _tails(result)
+            # no header on stdout ahead of a file refused at its first frame
+            if fi == 0:
+                out.write("frame,id,k,m,e,label,d_e\n")
             for lo, hi in row_blocks(nl.starts):
                 out.write(_csv_rows(fi, lo, hi, result.row, tails))
             e = result.e[result.row]

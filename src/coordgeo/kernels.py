@@ -44,7 +44,6 @@ HAVE_NUMBA = False  # constant: perfbench/worker.py reads it to record the backe
 # its value below the smallest two-member splitting separation (4.66 degrees)
 VALUE_RESOLUTION = 1.2
 
-_MAX_CELLS = 64  # per axis; larger cells stay correct, only slower
 # the one bound on a frame's temporaries: candidate pairs of a pair-search
 # chunk, bond angles of a profile chunk, or rows plus bonds of a row block
 _BUDGET = 1 << 16
@@ -76,6 +75,8 @@ def _pair_r2(cols, i, j, box, inv):
     difference, and IEEE rounding and np.rint are symmetric in sign, so the
     pair (j, i) has the r2 of (i, j) bit for bit.  The Cartesian components
     are made and squared one at a time, in place, and summed left to right.
+    A square that overflows gives inf, which lies beyond every finite cutoff,
+    so it raises no warning.
     """
     d = [np.take(x, i) - np.take(x, j) for x in cols]
     if box is not None:
@@ -84,12 +85,13 @@ def _pair_r2(cols, i, j, box, inv):
             x -= np.rint(x)
         d = _columns(d, box)
     r2 = None
-    for x in d:
-        x *= x
-        if r2 is None:
-            r2 = x
-        else:
-            r2 += x
+    with np.errstate(over="ignore"):
+        for x in d:
+            x *= x
+            if r2 is None:
+                r2 = x
+            else:
+                r2 += x
     return r2
 
 
@@ -107,17 +109,19 @@ def _columns(u, m):
 def pairs_within(pos, box, rcut):
     """Yield (i, j, r2) chunks of the pairs i < j within rcut, each pair once.
 
-    Minimum image unless box is None (an open frame).  The particles are
-    sorted into cell order once.  In that order a particle's candidates are
-    the rest of its own cell and the neighbouring cells of higher id, so
-    each pair of cells is visited from one end only; a per-cell table
-    (_forward_runs) merges those cells into runs of consecutive positions,
-    and a particle's candidates are a few contiguous ranges.  A periodic
-    axis with fewer than 3 cells counts each of its cells once (offsets
-    -1, 0, 1 would wrap onto one cell twice).  Each r2 is _pair_r2 of the
-    pair in input order, bit for bit.  A chunk holds the owners of at most
-    _BUDGET candidates: 14 cells, half the 27-cell stencil, of at most the
-    fullest cell's members each.
+    Minimum image unless box is None (an open frame).  Cells are at least
+    rcut wide and number at most n (the largest axis halves while more), so
+    the per-cell tables stay O(n) and a compact frame gets cells of the
+    cutoff at any n.  The particles are sorted into cell order once.  In
+    that order a particle's candidates are the rest of its own cell and the
+    neighbouring cells of higher id, so each pair of cells is visited from
+    one end only; a per-cell table (_forward_runs) merges those cells into
+    runs of consecutive positions, and a particle's candidates are a few
+    contiguous ranges.  A periodic axis with fewer than 3 cells counts each
+    of its cells once (offsets -1, 0, 1 would wrap onto one cell twice).
+    Each r2 is _pair_r2 of the pair in input order, bit for bit.  A chunk
+    holds the owners of at most _BUDGET candidates: 14 cells, half the
+    27-cell stencil, of at most the fullest cell's members each.
     """
     pos = np.ascontiguousarray(pos, dtype=np.float64)
     n = len(pos)
@@ -135,7 +139,12 @@ def pairs_within(pos, box, rcut):
         span = pos.max(axis=0) - lo
         ncell = span // cell_len
         frac = (pos - lo) / np.maximum(span, np.finfo(float).tiny)
-    ncell = np.clip(ncell, 1, _MAX_CELLS).astype(np.int64)
+    # at most n cells: the float counts are bounded before the cast, and
+    # halving an axis keeps every cell at least cell_len wide
+    ncell = np.clip(ncell, 1, n)
+    while ncell.prod() > n:
+        ncell[ncell.argmax()] //= 2
+    ncell = ncell.astype(np.int64)
     cell = np.minimum((frac * ncell).astype(np.int64), ncell - 1)
     del frac
     cid = _flat(cell, ncell)

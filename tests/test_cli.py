@@ -281,6 +281,33 @@ def test_analyze_overflowing_extent_with_rcut(tmp_path):
                                                 "0,2,1,0,nan,-,nan"]
 
 
+def test_analyze_far_open_frame_warns_nothing(tmp_path):
+    """Particles 1e200 apart can share a cell of the pair search: the square
+    of their distance overflows to inf, beyond the cutoff, with no numpy
+    warning."""
+    xyz, out = tmp_path / "far.xyz", tmp_path / "far.csv"
+    xyz.write_text("3\n\nX 0 0 0\nX 1e200 0 0\nX 1e300 0 0\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _run(["analyze", str(xyz), "--rcut", "1.5",
+                     "--out", str(out)]) == 0
+    assert out.read_text().splitlines() == ["frame,id,k,m,e,label,d_e",
+                                            "0,0,0,0,nan,-,nan",
+                                            "0,1,0,0,nan,-,nan",
+                                            "0,2,0,0,nan,-,nan"]
+
+
+def test_analyze_refused_first_frame_prints_no_header(tmp_path, capsys):
+    """A file refused at its first frame leaves stdout empty: no header-only
+    CSV reaches a pipe."""
+    xyz = tmp_path / "nanbox.extxyz"
+    xyz.write_text('1\nLattice="3 nan 0 0 3 0 0 0 3"\nX 0 0 0\n')
+    assert _run(["analyze", str(xyz), "--rcut", "0.85"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {xyz}:2: non-finite periodic box\n"
+
+
 def test_analyze_profiles_each_frame_once(tmp_path, monkeypatch, analyze):
     frames = [make_lattice("fcc", 3, noise=0.01, seed=1),
               make_lattice("fcc", 3, noise=0.03, seed=2)]

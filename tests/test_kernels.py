@@ -42,6 +42,14 @@ def test_neighbour_backends_agree(setup):
     # a periodic slab two cells thick
     slab = make_lattice("fcc", (6, 6, 2), noise=0.004, seed=5)
     _cell_list_vs_brute(slab.positions, slab.box, 0.85)
+    # a cutoff far below the spacing, where cells of the cutoff would
+    # outnumber the particles, so the grid's bound on its total binds
+    box = np.diag([8.0, 7.0, 9.0])
+    pos = np.random.default_rng(6).uniform(0.0, 1.0, size=(150, 3)) @ box
+    assert (kernels._perpendicular_widths(box) // 0.5).prod() > len(pos)
+    for b in (box, None):
+        assert kernels.neighbour_csr(pos, b, 0.5)[0][-1] > 0
+        _cell_list_vs_brute(pos, b, 0.5)
 
 
 @settings(max_examples=60, deadline=None)
@@ -108,6 +116,85 @@ def test_pairs_within_yields_each_pair_once(seed, n, periodic, cells, slack,
     p, q = (np.concatenate(c) for c in zip(*seen))
     assert (p < q).all()
     assert len(np.unique(p * n + q)) == len(p)
+
+
+def _grid(pos, box, rcut):
+    """The cells per axis of neighbour_csr's one pair search, and the
+    frame's widths: the box's perpendicular widths, or an open extent."""
+    grids = []
+    flat = kernels._flat
+
+    def recorded(cell, ncell):
+        grids.append(ncell.copy())
+        return flat(cell, ncell)
+
+    with mock.patch.object(kernels, "_flat", side_effect=recorded):
+        kernels.neighbour_csr(pos, box, rcut)
+    (ncell,) = grids
+    if box is None:
+        return ncell, np.ptp(pos, axis=0)
+    return ncell, kernels._perpendicular_widths(box)
+
+
+@pytest.mark.parametrize("case", ["dilute", "far", "slab", "compact"])
+def test_cell_grid_is_bounded_by_particle_count(case):
+    """Every grid holds at most one cell per particle, each cell at least
+    rcut wide (or alone on its axis), and a compact frame gets cells of the
+    cutoff on each axis, however many there are: one cell more would be
+    narrower than rcut."""
+    rcut = 1.0 if case == "dilute" else 0.85
+    if case == "dilute":
+        box = 1000.0 * np.eye(3)
+        pos = np.random.default_rng(0).uniform(0.0, 1000.0, size=(20, 3))
+    elif case == "far":
+        box = None
+        pos = np.array([[0.0, 0, 0], [1e200, 0, 0], [1e300, 0, 0]])
+    else:
+        fr = make_lattice("fcc", (70, 70, 2) if case == "slab" else 20,
+                          noise=0.005, seed=1)
+        pos, box = fr.positions, fr.box
+    ncell, width = _grid(pos, box, rcut)
+    assert ncell.prod() <= len(pos)
+    assert ((width / ncell >= rcut) | (ncell == 1)).all()
+    if case in ("slab", "compact"):
+        assert (width / (ncell + 1) < rcut).all()
+
+
+def test_wide_slab_scans_as_few_candidates_as_a_narrow_one():
+    """A periodic FCC slab two cells thick scans as many candidates per
+    particle at 70 x 70 cells as at 30 x 30: its cells stay those of the
+    cutoff, not widened by a cap on cells per axis."""
+    def per_particle(cells):
+        fr = make_lattice("fcc", cells, noise=0.005, seed=1)
+        counts = []
+        pair_r2 = kernels._pair_r2
+
+        def counted(cols, i, j, box, inv):
+            counts.append(len(i))
+            return pair_r2(cols, i, j, box, inv)
+
+        with mock.patch.object(kernels, "_pair_r2", side_effect=counted):
+            kernels.neighbour_csr(fr.positions, fr.box, 0.85)
+        return sum(counts) / fr.n
+
+    wide, narrow = per_particle((70, 70, 2)), per_particle((30, 30, 2))
+    assert abs(wide - narrow) < 0.1 * narrow
+
+
+def test_dilute_frame_search_memory_is_bounded_by_particles():
+    """20 particles in a periodic 1000^3 box at rcut 1 allocate tables for
+    at most one cell per particle, not for a fixed grid of cells."""
+    import tracemalloc
+
+    pos = np.random.default_rng(0).uniform(0.0, 1000.0, size=(20, 3))
+    tracemalloc.start()
+    try:
+        starts, _ = kernels.neighbour_csr(pos, 1000.0 * np.eye(3), 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(starts) == 21
+    assert peak < 0.5e6
 
 
 def _dot3(u, v):
