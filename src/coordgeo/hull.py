@@ -72,8 +72,6 @@ def convex_hull(vertices, tol: float = 1e-9) -> HullResult:
 
     polygons = []
     faces = []
-    volume = 0.0
-    area = 0.0
     for normal, offset in zip(normals[first], offsets[first]):
         members = np.flatnonzero(np.abs(pts @ normal - offset) <= eps)
         face_pts = pts[members]
@@ -85,14 +83,18 @@ def convex_hull(vertices, tol: float = 1e-9) -> HullResult:
         ang = np.arctan2((face_pts - fc) @ perp, (face_pts - fc) @ ref)
         ordered = members[np.argsort(ang)]
         polygons.append(tuple(int(x) for x in ordered))
-        for t in range(1, len(ordered) - 1):
-            a, b, c = ordered[0], ordered[t], ordered[t + 1]
-            faces.append((int(a), int(b), int(c)))
-            ab = pts[b] - pts[a]
-            ac = pts[c] - pts[a]
-            area += 0.5 * np.linalg.norm(np.cross(ab, ac))
-            volume += abs(np.dot(pts[a] - centroid,
-                                 np.cross(pts[b] - centroid, pts[c] - centroid))) / 6.0
+        faces += [(int(ordered[0]), int(b), int(c))
+                  for b, c in zip(ordered[1:-1], ordered[2:])]
+
+    # every fan triangle at once; the row-by-row matmuls sum as np.dot and
+    # np.linalg.norm do, and cumsum adds the terms in face order, so volume
+    # and area are bitwise those of one triangle at a time
+    a, b, c = pts[np.array(faces).T]
+    cross = np.cross(b - a, c - a)
+    area = np.cumsum(0.5 * np.sqrt(cross[:, None, :] @ cross[:, :, None])[:, 0, 0])[-1]
+    cross = np.cross(b - centroid, c - centroid)
+    volume = np.cumsum(np.abs((a - centroid)[:, None, :] @ cross[:, :, None])[:, 0, 0]
+                       / 6.0)[-1]
 
     if volume <= eps ** 3:
         raise ValueError("degenerate input: hull has no volume")

@@ -285,7 +285,7 @@ def neighbours_cutoff(frame: Frame, r_cut: float, pairs=None) -> NeighbourList:
     a second search.  A periodic r_cut above half the smallest box width, or
     an open-frame r_cut that reaches the bounding-box diagonal of three or
     more particles (every particle would neighbour all others), raises
-    ValueError.
+    ValueError, as does an open frame whose bounding box overflows.
     """
     if not 0 < r_cut < np.inf:
         raise ValueError("r_cut must be positive and finite")
@@ -296,11 +296,12 @@ def neighbours_cutoff(frame: Frame, r_cut: float, pairs=None) -> NeighbourList:
             raise ValueError(
                 f"r_cut={r_cut} exceeds half the smallest box width "
                 f"({0.5 * widths.min():.6g}); minimum image is ambiguous")
-    elif frame.n >= 3:
+    else:
+        span = _open_span(pos)
         # a diagonal that overflows is inf, which no finite r_cut reaches
         with np.errstate(over="ignore"):
-            diagonal = float(np.linalg.norm(pos.max(axis=0) - pos.min(axis=0)))
-        if r_cut >= diagonal:
+            diagonal = float(np.linalg.norm(span))
+        if frame.n >= 3 and r_cut >= diagonal:
             raise ValueError(
                 f"r_cut={r_cut} reaches the diagonal of the open frame's "
                 f"bounding box ({diagonal:.6g}); every particle would "
@@ -310,6 +311,17 @@ def neighbours_cutoff(frame: Frame, r_cut: float, pairs=None) -> NeighbourList:
     else:
         starts, idx = kernels.pairs_csr(frame.n, [pairs])
     return NeighbourList(starts=starts, indices=idx, cutoff=float(r_cut))
+
+
+def _open_span(pos):
+    """The bounding-box edge lengths of an open frame; ValueError, with no
+    numpy warning, when one exceeds the float range."""
+    with np.errstate(over="ignore"):
+        span = pos.max(axis=0) - pos.min(axis=0)
+    if not np.isfinite(span).all():
+        raise ValueError("the open frame's extent overflows: its bounding "
+                         "box edges exceed the float range")
+    return span
 
 
 def auto_cutoff(frame: Frame):
@@ -338,7 +350,7 @@ def auto_cutoff(frame: Frame):
         rmax = 0.499 * kernels._perpendicular_widths(box).min()
         volume = abs(np.linalg.det(box))
     else:
-        span = pos.max(axis=0) - pos.min(axis=0)
+        span = _open_span(pos)
         with np.errstate(over="ignore"):
             # a frame of coincident particles has no length scale of its own
             rmax = float(np.linalg.norm(span)) / 2.0 or 1e-9

@@ -271,24 +271,40 @@ def _classical_mds(d, dims):
     return x
 
 
+def _pair_incidence(n):
+    """The upper pairs (iu, ju) of n points and their (pairs, n) incidence
+    matrix: row p is +1 at column iu[p], -1 at column ju[p], 0 elsewhere."""
+    iu, ju = np.triu_indices(n, 1)
+    inc = np.zeros((len(iu), n))
+    rows = np.arange(len(iu))
+    inc[rows, iu] = 1.0
+    inc[rows, ju] = -1.0
+    return iu, ju, inc
+
+
 def _smacof_stack(d, x0, max_iter, rtol):
     """SMACOF (Guttman transform) from a stack of starts x0 of shape (R, n, dims).
 
     Every start stops on its own test: stress fell by less than rtol relative
     to the previous iteration.  Each iteration's embedding distances serve both
-    its stress and the next B matrix.  The two reductions over a short axis,
-    the squared coordinate differences of each pair and the rows of B, are
-    BLAS dot products with a vector of ones: one matrix-vector product per
-    start, in a fixed order for any stack height.  So a start in a stack ends
-    bit for bit as it does alone; the rounding differs from numpy's ``sum``
-    in the last bits, which no artifact shows at its 6 decimals.  B is read
-    from d's upper triangle, so d must be exactly symmetric (mds checks it).
+    its stress and the next B matrix.  The coordinate differences of the
+    upper pairs are one product per start with the (pairs, n) incidence
+    matrix, +1 at i and -1 at j of pair (i, j): the other n - 2 terms of each
+    entry are exact zeros, so it is fl(x_i - x_j) up to sign for any BLAS
+    summation order.  The two reductions over a short axis, the squared
+    coordinate differences of each pair and the rows of B, are BLAS dot
+    products with a vector of ones: one matrix-vector product per start, in
+    a fixed order for any stack height.  So a start in a stack ends bit for
+    bit as it does alone; the rounding differs from numpy's ``sum`` in the
+    last bits, which no artifact shows at its 6 decimals.  B is read from
+    d's upper triangle, so d must be exactly symmetric (mds checks it).
     Returns one (coords, stress trace array, converged) per start.
     """
     n = len(d)
-    iu, ju = np.triu_indices(n, 1)
+    iu, ju, inc = _pair_incidence(n)
     diag = np.arange(n)
     d_up = d[iu, ju]
+    neg_d_up = -d_up
     # B's entries as slots of a row of the upper quotients and one zero: d is
     # exactly symmetric, so both triangles read the one quotient of each pair
     slot = np.full((n, n), len(iu))
@@ -297,10 +313,9 @@ def _smacof_stack(d, x0, max_iter, rtol):
     ones_dims, ones_n = np.ones(x0.shape[2]), np.ones(n)
 
     def upper_distances(x):
-        # np.take keeps the (R, pairs, dims) result C-ordered; @ ones sums each
-        # contiguous row by one BLAS product per start, the same for any R
-        diff = np.take(x, iu, axis=1)
-        diff -= np.take(x, ju, axis=1)
+        # inc @ x is C-ordered (R, pairs, dims); @ ones sums each contiguous
+        # row by one BLAS product per start, the same for any R
+        diff = inc @ x
         diff *= diff
         return np.sqrt(diff @ ones_dims)
 
@@ -325,8 +340,12 @@ def _smacof_stack(d, x0, max_iter, rtol):
             results[r] = (x[j].copy(), history[:it + 1, r].copy(), converged)
 
     for it in range(1, max_iter + 1):
-        w = np.zeros((len(x), len(iu) + 1))
-        np.divide(-d_up, dist, out=w[:, :-1], where=dist > 0)
+        # a coincident pair (dist 0) weighs 0, as does the last, zero slot
+        w = np.empty((len(x), len(iu) + 1))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(neg_d_up, dist, out=w[:, :-1])
+        w[:, :-1][dist == 0] = 0.0
+        w[:, -1] = 0.0
         b = np.take(w, slot, axis=1)
         b[:, diag, diag] = -(b @ ones_n)
         x = (b @ x) / n

@@ -1,5 +1,6 @@
 """Reference implementations that only the tests call: the O(N^2) neighbour
-search that the cell list must equal, and one SMACOF run from one start."""
+search that the cell list must equal, one SMACOF run from one start, and a
+hull's fan triangles summed one at a time."""
 
 import numpy as np
 
@@ -31,3 +32,23 @@ def smacof(d, x0, max_iter, rtol):
     """One SMACOF run from x0; returns (coords, stress trace, converged)."""
     x, trace, converged = _smacof_stack(d, x0[None], max_iter, rtol)[0]
     return x, trace.tolist(), converged
+
+
+def fan_sums(pts, polygons):
+    """Fan triangles of a hull's ordered polygons, with the hull's volume and
+    area summed one triangle at a time (np.linalg.norm, np.dot)."""
+    pts = np.asarray(pts, dtype=float)
+    centroid = pts.mean(axis=0)
+    faces = []
+    volume = 0.0
+    area = 0.0
+    for ordered in polygons:
+        for t in range(1, len(ordered) - 1):
+            a, b, c = ordered[0], ordered[t], ordered[t + 1]
+            faces.append((a, b, c))
+            ab = pts[b] - pts[a]
+            ac = pts[c] - pts[a]
+            area += 0.5 * np.linalg.norm(np.cross(ab, ac))
+            volume += abs(np.dot(pts[a] - centroid,
+                                 np.cross(pts[b] - centroid, pts[c] - centroid))) / 6.0
+    return tuple(faces), float(volume), float(area)

@@ -281,6 +281,20 @@ def test_analyze_overflowing_extent_with_rcut(tmp_path):
                                                 "0,2,1,0,nan,-,nan"]
 
 
+@pytest.mark.parametrize("rcut", [[], ["--rcut", "1.5"]])
+def test_analyze_frame_wider_than_float_range_is_refused(tmp_path, capsys, rcut):
+    """Coordinates -1e308 and 1e308 span more than the largest float: with
+    or without --rcut the frame is refused by name, with no numpy warning
+    and no CSV."""
+    xyz, out = tmp_path / "wide.xyz", tmp_path / "wide.csv"
+    xyz.write_text("3\n\nX -1e308 0 0\nX 1e308 0 0\nX 0 1 0\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _run(["analyze", str(xyz), *rcut, "--out", str(out)]) == 1
+    assert "the open frame's extent overflows" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_analyze_far_open_frame_warns_nothing(tmp_path):
     """Particles 1e200 apart can share a cell of the pair search: the square
     of their distance overflows to inf, beyond the cutoff, with no numpy

@@ -9,6 +9,7 @@ from coordgeo.hull import HullResult, _check_watertight, convex_hull
 from coordgeo.shape import moment_per_neighbour, sphericity
 
 from published import TABLE
+from references import fan_sums
 
 
 def _convex_hull_loop(vertices, tol=1e-9):
@@ -16,7 +17,6 @@ def _convex_hull_loop(vertices, tol=1e-9):
     pts = np.asarray(vertices, dtype=float)
     scale = max(1.0, float(np.abs(pts).max()))
     eps = tol * scale
-    centroid = pts.mean(axis=0)
 
     planes = []
     for i, j, k in combinations(range(len(pts)), 3):
@@ -38,9 +38,6 @@ def _convex_hull_loop(vertices, tol=1e-9):
             planes.append((normal, offset))
 
     polygons = []
-    faces = []
-    volume = 0.0
-    area = 0.0
     for normal, offset in planes:
         members = np.flatnonzero(np.abs(pts @ normal - offset) <= eps)
         face_pts = pts[members]
@@ -52,18 +49,11 @@ def _convex_hull_loop(vertices, tol=1e-9):
         ang = np.arctan2((face_pts - fc) @ perp, (face_pts - fc) @ ref)
         ordered = members[np.argsort(ang)]
         polygons.append(tuple(int(x) for x in ordered))
-        for t in range(1, len(ordered) - 1):
-            a, b, c = ordered[0], ordered[t], ordered[t + 1]
-            faces.append((int(a), int(b), int(c)))
-            ab = pts[b] - pts[a]
-            ac = pts[c] - pts[a]
-            area += 0.5 * np.linalg.norm(np.cross(ab, ac))
-            volume += abs(np.dot(pts[a] - centroid,
-                                 np.cross(pts[b] - centroid, pts[c] - centroid))) / 6.0
 
+    faces, volume, area = fan_sums(pts, polygons)
     _check_watertight(faces)
-    return HullResult(faces=tuple(faces), polygons=tuple(polygons),
-                      volume=float(volume), area=float(area))
+    return HullResult(faces=faces, polygons=tuple(polygons),
+                      volume=volume, area=area)
 
 
 def _lifted(pts):
@@ -79,6 +69,21 @@ def test_hull_matches_loop_reference(catalog):
     sets += [_lifted(rng.uniform(size=(22, 2))) for _ in range(8)]
     for pts in sets:
         assert convex_hull(pts) == _convex_hull_loop(pts)
+
+
+def test_hull_sums_match_per_triangle_loop(catalog):
+    """The hull's triangles, volume and area, taken in one array, equal the
+    per-triangle loop bit for bit on the catalog and on random 4-29-point
+    sets: clouds over many scales and lifted cocircular points."""
+    rng = np.random.default_rng(7)
+    sets = [g.vertices for g in catalog.geometries]
+    for _ in range(100):
+        n = int(rng.integers(4, 30))
+        sets.append(rng.normal(size=(n, 3)) * 10.0 ** rng.uniform(-6, 6))
+        sets.append(_lifted(rng.uniform(size=(n - 1, 2))))
+    for pts in sets:
+        h = convex_hull(pts)
+        assert (h.faces, h.volume, h.area) == fan_sums(pts, h.polygons)
 
 
 def test_cube_volume_area():

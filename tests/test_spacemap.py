@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import coordgeo as cg
 from coordgeo.coefficients import d_e, descriptor
-from coordgeo.spacemap import (DistanceMatrix, _smacof_stack,
+from coordgeo.spacemap import (DistanceMatrix, _pair_incidence, _smacof_stack,
                                _classical_mds, _delaunay_triangles, delaunay_2d,
                                hierarchical_cluster, mds, typicality,
                                verify_metric)
@@ -284,6 +284,24 @@ def _smacof_loop(d, x0, max_iter, rtol):
         if trace[-2] - trace[-1] < rtol * max(trace[-2], 1e-300):
             return x, trace, True
     return x, trace, False
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 30), dims=st.integers(1, 9), stack=st.integers(1, 24),
+       lo=st.integers(-200, 200), width=st.integers(0, 400),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_incidence_product_is_the_pair_difference(n, dims, stack, lo, width, seed):
+    """inc @ x has the absolute values of the gathered x_i - x_j bit for bit:
+    every other term of an entry is an exact zero, whatever the order in
+    which BLAS sums them.  Magnitudes 10^lo to 10^(lo + width), at most
+    1e200, drawn per coordinate; some points repeat another exactly."""
+    rng = np.random.default_rng(seed)
+    hi = min(lo + width, 200)
+    x = rng.normal(size=(stack, n, dims)) * 10.0 ** rng.uniform(lo, hi, (stack, n, dims))
+    x[:, rng.integers(n, size=n // 3)] = x[:, rng.integers(n, size=n // 3)]
+    iu, ju, inc = _pair_incidence(n)
+    gathered = np.take(x, iu, axis=1) - np.take(x, ju, axis=1)
+    assert np.array_equal(np.abs(inc @ x), np.abs(gathered))
 
 
 @pytest.mark.parametrize("dims", [2, 3, 8])
