@@ -18,7 +18,8 @@ from .catalog import build_catalog, catalog_to_json
 from .coefficients import descriptor, descriptor_arrays, e_one
 from .kernels import row_blocks
 from .shape import moment_per_neighbour, sphericity
-from .snapshot import analyze_frame, auto_cutoff, iter_frames, neighbours_cutoff
+from .snapshot import (_check_cutoff, analyze_frame, auto_cutoff,
+                       iter_frames, neighbours_cutoff)
 from .spacemap import (delaunay_2d, distance_matrix, hierarchical_cluster,
                        mds, order_typicality_scatter, typicality,
                        verify_axioms)
@@ -275,20 +276,24 @@ def cmd_analyze(args):
         raise ValueError("--summary - and the CSV (--out, default stdout) "
                          "cannot share stdout; write one of them to a file")
     _distinct_outputs("--out", args.out, "--summary", args.summary)
+    if args.rcut is not None:
+        _check_cutoff(args.rcut)
     _, catalog, disc, _ = _pipeline(args)
     descriptors = descriptor_arrays(catalog.geometries, disc)
     summary = []
     with _output(args.out) as out:
         for fi, frame in enumerate(iter_frames(args.path, fmt=args.format)):
-            rcut, pairs = args.rcut, None
-            if rcut is None:
-                try:
-                    rcut, pairs = auto_cutoff(frame)
-                except ValueError as exc:
-                    raise ValueError(f"frame {fi}: {exc}; set the cutoff "
-                                     f"explicitly with --rcut") from exc
-            nl = neighbours_cutoff(frame, rcut, pairs)
-            result = analyze_frame(frame, nl, catalog.codes, descriptors, disc)
+            try:
+                rcut, pairs = ((args.rcut, None) if args.rcut is not None
+                               else auto_cutoff(frame))
+            except ValueError as exc:
+                raise ValueError(f"frame {fi}: {exc}; set the cutoff "
+                                 f"explicitly with --rcut") from exc
+            try:  # a refusal names its frame, as a reading error its line
+                nl = neighbours_cutoff(frame, rcut, pairs)
+                result = analyze_frame(frame, nl, catalog.codes, descriptors, disc)
+            except ValueError as exc:
+                raise ValueError(f"frame {fi}: {exc}") from exc
             tails = _tails(result)
             # no header on stdout ahead of a file refused at its first frame
             if fi == 0:

@@ -13,9 +13,9 @@ coordinates by np.take from contiguous columns, and its minimum image skips
 the products with the zero entries of the box and its inverse, which change
 no distance's bits (_pair_r2).
 snapshot.auto_cutoff bins the distances of the pairs within two mean spacings,
-or a doubled reach, and keeps those within its cutoff; pairs_csr mirrors
-pairs into CSR rows, for neighbour_csr's search and for the pairs auto_cutoff
-kept alike.  The O(N^2) brute force is only the test reference.  The angle
+or a doubled reach, and returns those within its cutoff as the search's own
+(i, j) chunks; pairs_csr mirrors the chunks of pairs into CSR rows, from a
+search and from auto_cutoff alike.  The O(N^2) brute force is only the test reference.  The angle
 profile runs over row_blocks, blocks of consecutive CSR rows, and within a
 block it is batched by coordination number k: one np.take gather and one
 minimum-image step for the block's bond vectors, then stacked Gram matrices
@@ -237,8 +237,8 @@ def neighbour_csr(pos, box, rcut):
 
 def pairs_csr(n, pairs):
     """CSR rows of n particles from (i, j, ...) chunks of pairs, each pair
-    once: every pair goes into the rows of both its particles, rows sorted.
-    The result does not depend on how the pairs are chunked or ordered."""
+    once (pairs_within's or auto_cutoff's), however chunked or ordered:
+    every pair goes into the rows of both its particles, rows sorted."""
     key = np.concatenate([np.concatenate([i * n + j, j * n + i])
                           for i, j, *_ in pairs])
     key.sort()

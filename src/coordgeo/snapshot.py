@@ -5,14 +5,15 @@ open file, so memory holds one frame whatever the file length, and none of
 its text once the frame is parsed (_read_frame).  A frame's
 coordinates are read by numpy's C parser, and by a line loop only to name
 the line it refuses.  Neighbourhoods come from a cutoff search
-(kernels.neighbour_csr: a numpy cell list for every box, minimum image under
+(kernels.pairs_within: a numpy cell list for every box, minimum image under
 a periodic box) at a given cutoff, or at the first RDF minimum.  auto_cutoff
 bins the pairs the same cell list finds within two mean spacings, doubling
 that reach while it holds no minimum, in bins of a fixed width in spacings
-on a large frame, and returns those within the cutoff it picks: the first
-reach's chunks, each cut at that cutoff before they are joined, or one
-search at the cutoff after a doubled reach, which only bins; so
-neighbours_cutoff builds that frame's lists without a search of its own.  Each
+on a large frame, and returns those within the cutoff it picks as the
+search's own (i, j) chunks: the first reach's, each cut at that cutoff, or
+those of one search at the cutoff after a doubled reach, which only bins.
+neighbours_cutoff hands them to kernels.pairs_csr in place of a search of
+its own.  Both take a frame's lengths from _extent alone.  Each
 particle's bond angles are discretized with the catalog discretizer into the
 catalog's descriptor format: k and the per-class counts f of distinct
 measured angles, with m = f.sum().  The per-particle coefficient uses k and
@@ -75,7 +76,12 @@ class Frame:
             raise ValueError("frame needs at least one particle")
         if not np.isfinite(self.positions).all():
             raise ValueError("non-finite coordinates")
-        if self.box is not None:
+        if self.box is None:
+            with np.errstate(over="ignore"):
+                if not np.isfinite(np.ptp(self.positions, axis=0)).all():
+                    raise ValueError("the open frame's extent overflows: its "
+                                     "bounding box edges exceed the float range")
+        else:
             self.box = np.asarray(self.box, dtype=float).reshape(3, 3)
             if not np.isfinite(self.box).all():
                 raise ValueError("non-finite periodic box")
@@ -269,65 +275,61 @@ class NeighbourList:
 
     starts: np.ndarray
     indices: np.ndarray
-    cutoff: float
 
     @property
     def counts(self) -> np.ndarray:
         return np.diff(self.starts)
 
 
+def _extent(frame):
+    """(width, volume): a periodic box's smallest perpendicular width and
+    abs(det), or an open frame's bounding-box diagonal and volume, either of
+    which may be inf (Frame refuses bounding-box edges that overflow)."""
+    if frame.box is not None:
+        return (kernels._perpendicular_widths(frame.box).min(),
+                abs(np.linalg.det(frame.box)))
+    span = np.ptp(frame.positions, axis=0)
+    with np.errstate(over="ignore"):
+        return float(np.linalg.norm(span)), float(np.prod(span))
+
+
+def _check_cutoff(r_cut):
+    if not 0 < r_cut < np.inf:
+        raise ValueError("r_cut must be positive and finite")
+
+
 def neighbours_cutoff(frame: Frame, r_cut: float, pairs=None) -> NeighbourList:
     """All neighbours within r_cut (minimum image when the frame is periodic),
     each row sorted, from the cell-list kernel.
 
-    pairs, when given, are the (i, j) index arrays of every pair within r_cut,
-    each pair once, as auto_cutoff returns them; their rows are built without
-    a second search.  A periodic r_cut above half the smallest box width, or
-    an open-frame r_cut that reaches the bounding-box diagonal of three or
-    more particles (every particle would neighbour all others), raises
-    ValueError, as does an open frame whose bounding box overflows.
+    pairs, when given, are the (i, j) chunks of every pair within r_cut, each
+    pair once, as auto_cutoff returns them; they go to kernels.pairs_csr in
+    place of a search of this function's own.  A periodic r_cut above half
+    the smallest box width, or an open-frame r_cut that reaches the
+    bounding-box diagonal of three or more particles (every particle would
+    neighbour all others), raises ValueError.
     """
-    if not 0 < r_cut < np.inf:
-        raise ValueError("r_cut must be positive and finite")
-    pos = frame.positions
+    _check_cutoff(r_cut)
+    width, _ = _extent(frame)
     if frame.box is not None:
-        widths = kernels._perpendicular_widths(frame.box)
-        if r_cut > 0.5 * widths.min():
+        if r_cut > 0.5 * width:
             raise ValueError(
                 f"r_cut={r_cut} exceeds half the smallest box width "
-                f"({0.5 * widths.min():.6g}); minimum image is ambiguous")
-    else:
-        span = _open_span(pos)
-        # a diagonal that overflows is inf, which no finite r_cut reaches
-        with np.errstate(over="ignore"):
-            diagonal = float(np.linalg.norm(span))
-        if frame.n >= 3 and r_cut >= diagonal:
-            raise ValueError(
-                f"r_cut={r_cut} reaches the diagonal of the open frame's "
-                f"bounding box ({diagonal:.6g}); every particle would "
-                f"neighbour all {frame.n - 1} others")
+                f"({0.5 * width:.6g}); minimum image is ambiguous")
+    elif frame.n >= 3 and r_cut >= width:  # an inf diagonal is never reached
+        raise ValueError(
+            f"r_cut={r_cut} reaches the diagonal of the open frame's "
+            f"bounding box ({width:.6g}); every particle would "
+            f"neighbour all {frame.n - 1} others")
     if pairs is None:
-        starts, idx = kernels.neighbour_csr(pos, frame.box, r_cut)
-    else:
-        starts, idx = kernels.pairs_csr(frame.n, [pairs])
-    return NeighbourList(starts=starts, indices=idx, cutoff=float(r_cut))
-
-
-def _open_span(pos):
-    """The bounding-box edge lengths of an open frame; ValueError, with no
-    numpy warning, when one exceeds the float range."""
-    with np.errstate(over="ignore"):
-        span = pos.max(axis=0) - pos.min(axis=0)
-    if not np.isfinite(span).all():
-        raise ValueError("the open frame's extent overflows: its bounding "
-                         "box edges exceed the float range")
-    return span
+        pairs = kernels.pairs_within(frame.positions, frame.box, r_cut)
+    return NeighbourList(*kernels.pairs_csr(frame.n, pairs))
 
 
 def auto_cutoff(frame: Frame):
     """Cutoff at the first minimum of the radial distribution function, and
-    the (i, j) index arrays of every pair within it, each pair once, for
-    neighbours_cutoff(frame, r_cut, pairs).
+    the (i, j) chunks of every pair within it, each pair once, as
+    kernels.pairs_within yields them less r2, for neighbours_cutoff.
 
     The RDF runs out to rmax, half the box width (half the diagonal of an
     open frame), in bins of rmax / RDF_BINS, or of RDF_SPAN / RDF_BINS mean
@@ -346,18 +348,15 @@ def auto_cutoff(frame: Frame):
     coordination shell.
     """
     pos, box = frame.positions, frame.box
+    width, volume = _extent(frame)
     if box is not None:
-        rmax = 0.499 * kernels._perpendicular_widths(box).min()
-        volume = abs(np.linalg.det(box))
+        rmax = 0.499 * width
+    elif math.isfinite(width) and math.isfinite(volume):
+        # a frame of coincident particles has no length scale of its own
+        rmax = width / 2.0 or 1e-9
     else:
-        span = _open_span(pos)
-        with np.errstate(over="ignore"):
-            # a frame of coincident particles has no length scale of its own
-            rmax = float(np.linalg.norm(span)) / 2.0 or 1e-9
-            volume = float(np.prod(span))
-        if not (math.isfinite(rmax) and math.isfinite(volume)):
-            raise ValueError("the open frame's extent overflows: its bounding "
-                             "box diagonal or volume exceeds the float range")
+        raise ValueError("the open frame's extent overflows: its bounding "
+                         "box diagonal or volume exceeds the float range")
     spacing = (volume / frame.n) ** (1.0 / 3.0)
     nbins = RDF_BINS
     if rmax > RDF_SPAN * spacing > 0.0:
@@ -372,14 +371,12 @@ def auto_cutoff(frame: Frame):
         reach *= 2.0
         kept = None
     if kept is None:
-        kept = [(i, j) for i, j, _ in kernels.pairs_within(pos, box, r_cut)]
-    else:
-        # cut each chunk to its pairs within r_cut before joining them, so
-        # no second copy of every pair within reach is made
-        for c, (i, j, r2) in enumerate(kept):
-            keep = r2 <= r_cut * r_cut
-            kept[c] = i[keep], j[keep]
-    return r_cut, tuple(np.concatenate(a) for a in zip(*kept))
+        return r_cut, [(i, j) for i, j, _ in
+                       kernels.pairs_within(pos, box, r_cut)]
+    for c, (i, j, r2) in enumerate(kept):
+        keep = r2 <= r_cut * r_cut
+        kept[c] = i[keep], j[keep]
+    return r_cut, kept
 
 
 def _rdf_minimum(pos, box, rmax, nbins, reach, kept):
@@ -502,11 +499,15 @@ def analyze_frame(frame: Frame, nl: NeighbourList, codes, descriptors,
 
 
 _LATTICE_BASES = {
-    # conventional cubic / orthorhombic cells: (cell vectors, fractional basis)
+    # conventional cells at a = 1 (cubic; the orthorhombic 4-atom cell of
+    # HCP, ideal c/a = sqrt(8/3)) and their fractional bases
     "sc": (np.eye(3), np.array([[0.0, 0.0, 0.0]])),
     "bcc": (np.eye(3), np.array([[0.0, 0.0, 0.0], [0.5, 0.5, 0.5]])),
     "fcc": (np.eye(3), np.array([[0.0, 0.0, 0.0], [0.5, 0.5, 0.0],
                                  [0.5, 0.0, 0.5], [0.0, 0.5, 0.5]])),
+    "hcp": (np.diag([1.0, np.sqrt(3.0), np.sqrt(8.0 / 3.0)]),
+            np.array([[0.0, 0.0, 0.0], [0.5, 0.5, 0.0],
+                      [0.5, 5.0 / 6.0, 0.5], [0.0, 1.0 / 3.0, 0.5]])),
 }
 
 
@@ -516,30 +517,20 @@ def make_lattice(kind: str, cells, a: float = 1.0, noise: float = 0.0,
 
     cells is the number of conventional cells per axis (int or 3-tuple);
     noise adds per-coordinate Gaussian displacement of the given standard
-    deviation (absolute length units).
+    deviation (absolute length units).  Sites are in cell order (x slowest),
+    the basis within each cell.
     """
     kind = kind.lower()
     if isinstance(cells, int):
         cells = (cells, cells, cells)
     nx, ny, nz = cells
-    if kind in _LATTICE_BASES:
-        cell, basis = _LATTICE_BASES[kind]
-        cell = cell * a
-    elif kind == "hcp":
-        # orthorhombic 4-atom representation, ideal c/a = sqrt(8/3)
-        c = a * np.sqrt(8.0 / 3.0)
-        cell = np.diag([a, a * np.sqrt(3.0), c])
-        basis = np.array([
-            [0.0, 0.0, 0.0],
-            [0.5, 0.5, 0.0],
-            [0.5, 5.0 / 6.0, 0.5],
-            [0.0, 1.0 / 3.0, 0.5],
-        ])
-    else:
+    if kind not in _LATTICE_BASES:
         raise ValueError(f"unknown lattice {kind!r}")
-    pos = np.array([(b + np.array(shift, dtype=float)) @ cell
-                    for shift in itertools.product(range(nx), range(ny), range(nz))
-                    for b in basis])
+    cell, basis = _LATTICE_BASES[kind]
+    cell = cell * a
+    shifts = np.indices((nx, ny, nz)).reshape(3, -1).T
+    # a diagonal cell makes each coordinate one product, bit for bit
+    pos = (shifts[:, None, :] + basis).reshape(-1, 3) @ cell
     box = cell * np.array([[nx], [ny], [nz]])
     if noise > 0:
         rng = np.random.default_rng(seed)

@@ -1,6 +1,9 @@
 """Reference implementations that only the tests call: the O(N^2) neighbour
-search that the cell list must equal, one SMACOF run from one start, and a
-hull's fan triangles summed one at a time."""
+search that the cell list must equal, one SMACOF run from one start, a
+hull's fan triangles summed one at a time, and lattice sites placed one at
+a time."""
+
+import itertools
 
 import numpy as np
 
@@ -52,3 +55,29 @@ def fan_sums(pts, polygons):
             volume += abs(np.dot(pts[a] - centroid,
                                  np.cross(pts[b] - centroid, pts[c] - centroid))) / 6.0
     return tuple(faces), float(volume), float(area)
+
+
+def lattice_loop(kind, cells, a=1.0, noise=0.0, seed=0):
+    """make_lattice's positions and box, one site at a time: each basis site
+    of each cell, in itertools.product order, times the scaled cell."""
+    if isinstance(cells, int):
+        cells = (cells, cells, cells)
+    nx, ny, nz = cells
+    if kind == "hcp":
+        cell = np.diag([a, a * np.sqrt(3.0), a * np.sqrt(8.0 / 3.0)])
+        basis = np.array([[0.0, 0.0, 0.0], [0.5, 0.5, 0.0],
+                          [0.5, 5.0 / 6.0, 0.5], [0.0, 1.0 / 3.0, 0.5]])
+    else:
+        cell = np.eye(3) * a
+        basis = {"sc": [[0.0, 0.0, 0.0]],
+                 "bcc": [[0.0, 0.0, 0.0], [0.5, 0.5, 0.5]],
+                 "fcc": [[0.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.5, 0.0, 0.5],
+                         [0.0, 0.5, 0.5]]}[kind]
+    pos = np.array([(np.array(b) + np.array(shift, dtype=float)) @ cell
+                    for shift in itertools.product(range(nx), range(ny),
+                                                   range(nz))
+                    for b in basis])
+    if noise > 0:
+        pos = pos + np.random.default_rng(seed).normal(scale=noise,
+                                                       size=pos.shape)
+    return pos, cell * np.array([[nx], [ny], [nz]])

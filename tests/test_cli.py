@@ -284,15 +284,65 @@ def test_analyze_overflowing_extent_with_rcut(tmp_path):
 @pytest.mark.parametrize("rcut", [[], ["--rcut", "1.5"]])
 def test_analyze_frame_wider_than_float_range_is_refused(tmp_path, capsys, rcut):
     """Coordinates -1e308 and 1e308 span more than the largest float: with
-    or without --rcut the frame is refused by name, with no numpy warning
-    and no CSV."""
+    or without --rcut the frame is refused by name when it is read, at its
+    line, with no numpy warning, no --rcut hint and no CSV."""
     xyz, out = tmp_path / "wide.xyz", tmp_path / "wide.csv"
     xyz.write_text("3\n\nX -1e308 0 0\nX 1e308 0 0\nX 0 1 0\n")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert _run(["analyze", str(xyz), *rcut, "--out", str(out)]) == 1
-    assert "the open frame's extent overflows" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"error: {xyz}:2: the open frame's extent overflows: its bounding "
+        f"box edges exceed the float range\n")
     assert not out.exists()
+
+
+def _two_frames(tmp_path, second):
+    """A trajectory of a clean FCC frame and `second`."""
+    xyz = tmp_path / "two.extxyz"
+    write_frames(xyz, [make_lattice("fcc", 3), second])
+    return xyz
+
+
+@pytest.mark.parametrize("rcut", [["--rcut", "0.85"], []])
+def test_analyze_refusal_names_its_frame(tmp_path, capsys, rcut):
+    """A refusal after a frame is read names that frame, with --rcut and
+    without, and only auto_cutoff's own refusals add the --rcut hint."""
+    fcc = make_lattice("fcc", 3)
+    dup = Frame(positions=np.vstack([fcc.positions, fcc.positions[:1]]),
+                box=fcc.box)
+    out = tmp_path / "pp.csv"
+    xyz = _two_frames(tmp_path, dup)
+    assert _run(["analyze", str(xyz), *rcut, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("error: frame 1: particle 0 coincides "
+                                       "with particle 108 (zero-length bond)\n")
+    assert not out.exists()
+    # half the smallest width of a thin box is below the cutoff
+    thin = make_lattice("fcc", (3, 3, 1))
+    xyz = _two_frames(tmp_path, thin)
+    assert _run(["analyze", str(xyz), "--rcut", "0.85", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: frame 1: r_cut=0.85 exceeds half the smallest box width")
+    # two particles: no pair within half the diagonal
+    pair = Frame(positions=[[0.0, 0, 0], [1.0, 0, 0]])
+    xyz = _two_frames(tmp_path, pair)
+    assert _run(["analyze", str(xyz), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: frame 1: no pairs found; cannot estimate a cutoff; set the "
+        "cutoff explicitly with --rcut\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rcut", ["inf", "0", "nan", "-1"])
+def test_analyze_bad_rcut_is_refused_before_reading(tmp_path, capsys, rcut):
+    """A bad --rcut is refused before the first frame is read: on a file
+    whose first frame is malformed, and on a missing file."""
+    bad = tmp_path / "bad.xyz"
+    bad.write_text("2\nc\nX 0 0 0\nX abc 0 0\n")
+    for path in (bad, tmp_path / "missing.xyz"):
+        assert _run(["analyze", str(path), "--rcut", rcut]) == 1
+        assert capsys.readouterr() == (
+            "", "error: r_cut must be positive and finite\n")
 
 
 def test_analyze_far_open_frame_warns_nothing(tmp_path):
@@ -497,7 +547,8 @@ def test_analyze_coincident_particles_fail(tmp_path, capsys):
     write_frames(xyz, [dup])
     out = tmp_path / "pp.csv"
     assert _run(["analyze", str(xyz), "--rcut", "0.85", "--out", str(out)]) == 1
-    assert "error: particle 0 coincides with particle 108" in capsys.readouterr().err
+    assert ("error: frame 0: particle 0 coincides with particle 108"
+            in capsys.readouterr().err)
     assert not out.exists()
 
 
@@ -512,7 +563,8 @@ def test_analyze_failure_at_a_late_frame_leaves_no_output(tmp_path, capsys):
     summ = tmp_path / "s.json"
     assert _run(["analyze", str(xyz), "--rcut", "0.85", "--out", str(out),
                  "--summary", str(summ)]) == 1
-    assert "error: particle 0 coincides with particle 108" in capsys.readouterr().err
+    assert ("error: frame 2: particle 0 coincides with particle 108"
+            in capsys.readouterr().err)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["dup.extxyz"]
 
 
@@ -571,7 +623,8 @@ def test_analyze_huge_rcut_on_open_frame_fails(tmp_path, capsys):
     out = tmp_path / "pp.csv"
     assert _run(["analyze", str(xyz), "--rcut", "1e9", "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: r_cut=1000000000.0 reaches the diagonal")
+    assert err.startswith("error: frame 0: r_cut=1000000000.0 reaches the "
+                          "diagonal")
     assert "all 107 others" in err
     assert not out.exists()
 

@@ -9,7 +9,7 @@ from coordgeo import kernels, snapshot
 from coordgeo.snapshot import (Frame, auto_cutoff, iter_frames, make_lattice,
                                neighbours_cutoff, write_frames)
 
-from references import brute_neighbour_csr
+from references import brute_neighbour_csr, lattice_loop
 
 
 def test_read_minimal_two_line_xyz(tmp_path):
@@ -96,11 +96,13 @@ def test_read_truncated_frame(tmp_path):
     ('1\npbc="T T T"\nX 0 0 0\n', 2, "without a Lattice entry"),
     ('1\nLattice="3 0 0 0 3 0 0 0 3" pbc="F F F\nX 0 0 0\n', 2,
      "unterminated pbc entry"),
+    ("3\n\nX -1e308 0 0\nX 1e308 0 0\nX 0 1 0\n", 2,
+     "the open frame's extent overflows"),
 ], ids=["float", "unterminated-lattice", "short-lattice", "lattice-float",
         "singular-box", "nan-box", "inf-box", "overflow-box", "nan",
         "short-record",
         "zero-count", "nan-no-comment", "mixed-pbc", "short-pbc",
-        "pbc-without-lattice", "unterminated-pbc"])
+        "pbc-without-lattice", "unterminated-pbc", "overflow-open"])
 def test_read_errors_name_the_line(tmp_path, text, where, what):
     p = tmp_path / "bad.xyz"
     p.write_text(text)
@@ -399,12 +401,18 @@ def _check_searches(frame, radii, r_cut=None):
 
 
 def _check_pairs(frame, r_cut, pairs):
-    """auto_cutoff's pairs are exactly the neighbour lists at its cutoff."""
-    starts, idx = kernels.pairs_csr(frame.n, [pairs])
+    """auto_cutoff's pairs are exactly the neighbour lists at its cutoff, and
+    neighbours_cutoff builds from them the lists of its own search.  The
+    chunks are read twice, so a one-shot iterator of them fails here."""
+    starts, idx = kernels.pairs_csr(frame.n, pairs)
     ref_starts, ref_idx = kernels.neighbour_csr(frame.positions, frame.box,
                                                 r_cut)
     assert np.array_equal(starts, ref_starts)
     assert np.array_equal(idx, ref_idx)
+    given = neighbours_cutoff(frame, r_cut, pairs)
+    searched = neighbours_cutoff(frame, r_cut)
+    assert given.starts.tobytes() == searched.starts.tobytes()
+    assert given.indices.tobytes() == searched.indices.tobytes()
 
 
 def test_auto_cutoff_equals_particle_loop(searches):
@@ -620,7 +628,7 @@ def test_auto_cutoff_working_set_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert 0.85 < r_cut < 0.88 and len(pairs[0]) == 192032
+    assert 0.85 < r_cut < 0.88 and sum(len(i) for i, _ in pairs) == 192032
     assert peak < 800 * fr.n
 
 
@@ -751,7 +759,7 @@ def test_auto_cutoff_widened_working_set_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(pairs[0]) == 7.5 * fr.n == 120000
+    assert sum(len(i) for i, _ in pairs) == 7.5 * fr.n == 120000
     assert peak < 800 * fr.n
 
 
@@ -768,6 +776,18 @@ def test_frame_positions_must_be_n_by_3():
     for bad in (np.arange(12.0).reshape(6, 2), np.zeros(3), np.zeros((2, 3, 1))):
         with pytest.raises(ValueError, match=r"shape \(N, 3\)"):
             Frame(positions=bad)
+
+
+@pytest.mark.parametrize("kind", ["sc", "bcc", "fcc", "hcp"])
+def test_make_lattice_equals_site_loop(kind):
+    """One broadcast product places every site with the bits of placing
+    them one at a time, for int and tuple cells, with and without noise."""
+    for cells, a, noise in ((3, 1.0, 0.0), (3, 1.3, 0.0), ((2, 3, 4), 1.3, 0.0),
+                            ((4, 1, 2), 0.7, 0.02)):
+        fr = make_lattice(kind, cells, a=a, noise=noise, seed=6)
+        pos, box = lattice_loop(kind, cells, a=a, noise=noise, seed=6)
+        assert fr.positions.tobytes() == pos.tobytes()
+        assert fr.box.tobytes() == box.tobytes()
 
 
 def test_hcp_lattice_geometry():
