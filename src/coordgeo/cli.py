@@ -241,15 +241,21 @@ def cmd_inherent_angles(args):
 
 def _tails(result):
     """The "k,m,e,label,d_e" text, newline included, of each descriptor row of
-    a FrameResult, one % template filled once (%.6f writes NaN as nan, as
-    format spec .6f does)."""
-    fields = [None] * (5 * len(result.k))
-    fields[0::5] = result.k.tolist()
-    fields[1::5] = result.m.tolist()
-    fields[2::5] = result.e.tolist()
-    fields[3::5] = [result.names[i] for i in result.label.tolist()]
-    fields[4::5] = result.d_e.tolist()
-    text = "%d,%d,%.6f,%s,%.6f\n" * len(result.k) % tuple(fields)
+    a FrameResult (%.6f writes NaN as nan, as format spec .6f does).  e is a
+    function of (k, m), so "k,m,e," is formatted once per distinct (k, m)."""
+    # m.max() + 1 spaces the keys of two k apart
+    key = result.k * (result.m.max() + 1) + result.m
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    fields = [None] * (3 * len(first))
+    fields[0::3] = result.k[first].tolist()
+    fields[1::3] = result.m[first].tolist()
+    fields[2::3] = result.e[first].tolist()
+    heads = ("%d,%d,%.6f,\n" * len(first) % tuple(fields)).splitlines()
+    fields = [None] * (3 * len(result.k))
+    fields[0::3] = [heads[i] for i in inverse.tolist()]
+    fields[1::3] = [result.names[i] for i in result.label.tolist()]
+    fields[2::3] = result.d_e.tolist()
+    text = "%s%s,%.6f\n" * len(result.k) % tuple(fields)
     return text.splitlines(keepends=True)
 
 

@@ -170,11 +170,19 @@ def distances(ka, fa, kb, fb) -> np.ndarray:
     """
     ka = np.asarray(ka, dtype=np.float64)
     kb = np.asarray(kb, dtype=np.float64)
+    fa, fb = np.asarray(fa), np.asarray(fb)
     lp_a = np.log2(ka * ka - ka)
     lp_b = np.log2(kb * kb - kb)
-    e_a = lp_a - np.log2(2.0 * np.sum(fa, axis=1))
+    ma = np.sum(fa, axis=1)
+    e_a = lp_a - np.log2(2.0 * ma)
     e_b = lp_b - np.log2(2.0 * np.sum(fb, axis=1))
-    # one row of fb at a time: no (A, B, classes) temporary
-    union = np.stack([np.maximum(fa, row).sum(axis=1) for row in fb], axis=1)
+    # sum_c max(a_c, b_c) = sum_c a_c + #{(c, t): a_c < t <= b_c}, and the
+    # count is one product of 0/1 indicators over every class c and level t
+    # of fb: sums of whole numbers, so exact in float64
+    levels = np.arange(1, fb.max(initial=0) + 1)[:, None]
+    width = levels.size * fa.shape[1]
+    below = (fa[:, None, :] < levels).reshape(len(fa), width)
+    reach = (fb[:, None, :] >= levels).reshape(len(fb), width)
+    union = ma[:, None] + below.astype(np.float64) @ reach.T.astype(np.float64)
     e_pair = 0.5 * (lp_a[:, None] + lp_b) - np.log2(2.0 * union)
     return np.maximum(e_a[:, None], e_b) - e_pair

@@ -19,7 +19,9 @@ search and from auto_cutoff alike.  The O(N^2) brute force is only the test refe
 profile runs over row_blocks, blocks of consecutive CSR rows, and within a
 block it is batched by coordination number k: one np.take gather and one
 minimum-image step for the block's bond vectors, then stacked Gram matrices
-per k, their rows gathered by np.take.  Each chunk's distinct angles come
+per k, their rows gathered and their upper triangles taken by np.take, and
+the angles binned by angles.angle_bins, the quarter-degree table that
+Discretizer.classify bins by too.  Each chunk's distinct angles come
 from one closed form over its clusters, for every gap count at once
 (_distinct_counts); only bins holding equal gaps one or two apart go through
 the greedy rounds of _merge_clusters, on the same per-cluster arrays, one gap
@@ -34,6 +36,7 @@ per-particle results and one block, whatever N.
 
 import numpy as np
 
+from .angles import angle_bins
 from .coefficients import distances
 
 HAVE_NUMBA = False  # constant: perfbench/worker.py reads it to record the backend
@@ -230,11 +233,6 @@ def _forward_runs(cell, cid, ncell, periodic, bounds, lo):
     return p, q
 
 
-def neighbour_csr(pos, box, rcut):
-    """CSR neighbour lists within rcut from pairs_within, rows sorted."""
-    return pairs_csr(len(pos), pairs_within(pos, box, rcut))
-
-
 def pairs_csr(n, pairs):
     """CSR rows of n particles from (i, j, ...) chunks of pairs, each pair
     once (pairs_within's or auto_cutoff's), however chunked or ordered:
@@ -280,11 +278,13 @@ def profile_particles(pos, box, starts, idx, edges, first=0):
     starts[0] == 0: a frame's whole CSR, or one of its row_blocks rebased.
     Batched by coordination number: the rows' bond vectors are taken in one
     minimum-image step, and for each k >= 2 the rows of that k are stacked
-    into (R, k, 3) for one batched Gram matrix, arccos, row sort and binning,
-    in row chunks of about _BUDGET angles; _distinct_counts counts each
-    chunk's distinct angles per bin.  m is the row sum of the counts.  A
-    row's result depends on that row alone.  A zero-length bond (two
-    coincident particles) raises ValueError naming the lowest such particle.
+    into (R, k, 3) for one batched Gram matrix, in row chunks of about
+    _BUDGET angles.  Its upper triangles, one np.take of the flattened rows,
+    go through clip, arccos, degrees and the row sort in place and are
+    binned by angles.angle_bins; _distinct_counts counts each chunk's
+    distinct angles per bin.  m is the row sum of the counts.  A row's
+    result depends on that row alone.  A zero-length bond (two coincident
+    particles) raises ValueError naming the lowest such particle.
     """
     pos = np.ascontiguousarray(pos, dtype=np.float64)
     edges = np.ascontiguousarray(edges, dtype=np.float64)
@@ -299,7 +299,7 @@ def profile_particles(pos, box, starts, idx, edges, first=0):
         f = vec @ np.linalg.inv(box)
         f -= np.rint(f)
         vec = f @ box
-    length = np.linalg.norm(vec, axis=1)
+    length = _norms(vec)
     zero = np.flatnonzero(length == 0.0)
     if len(zero):
         # bonds run in CSR order: the first zero one belongs to the lowest
@@ -309,18 +309,32 @@ def profile_particles(pos, box, starts, idx, edges, first=0):
         raise ValueError(f"particle {owner} coincides with particle "
                          f"{idx[b]} (zero-length bond)")
     vec /= length[:, None]
+    bins = angle_bins(edges)
     for k in np.unique(kk[kk >= 2]).tolist():
         iu, ju = np.triu_indices(k, 1)
+        upper = iu * k + ju
         rows = np.flatnonzero(kk == k)
         chunk = max(1, _BUDGET // len(iu))
         for lo in range(0, len(rows), chunk):
             r = rows[lo:lo + chunk]
             v = np.take(vec, starts[r][:, None] + np.arange(k), axis=0)
-            gram = np.clip((v @ v.transpose(0, 2, 1))[:, iu, ju], -1.0, 1.0)
-            ang = np.sort(np.degrees(np.arccos(gram)), axis=1)
-            cls = np.searchsorted(edges, ang, side="left")
-            fcounts[r] = _distinct_counts(ang, cls, nbins)
+            gram = v @ v.transpose(0, 2, 1)
+            ang = np.take(gram.reshape(len(r), k * k), upper, axis=1)
+            np.clip(ang, -1.0, 1.0, out=ang)
+            np.arccos(ang, out=ang)
+            np.degrees(ang, out=ang)
+            ang.sort(axis=1)
+            fcounts[r] = _distinct_counts(ang, bins(ang), nbins)
     return kk, fcounts
+
+
+def _norms(vec):
+    """np.linalg.norm(vec, axis=1) of an (n, 3) array, bit for bit: the
+    squares summed left to right, then the square root."""
+    sq = vec * vec
+    norms = sq[:, 0] + sq[:, 1]
+    norms += sq[:, 2]
+    return np.sqrt(norms, out=norms)
 
 
 def _distinct_counts(ang, cls, nbins):

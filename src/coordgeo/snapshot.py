@@ -399,7 +399,7 @@ def _rdf_minimum(pos, box, rmax, nbins, reach, kept):
         return None
     hist = np.zeros(nbins, dtype=np.int64)
     for i, j, r2 in kernels.pairs_within(pos, box, reach):
-        hist += np.histogram(np.sqrt(r2), nbins, range=(0.0, rmax))[0]
+        hist += np.bincount(_rdf_bins(np.sqrt(r2), edges), minlength=nbins)
         if kept is not None:
             kept.append((i, j, r2))
     if not capped and not hist.any():
@@ -413,6 +413,25 @@ def _rdf_minimum(pos, box, rmax, nbins, reach, kept):
     if r_cut is None and not capped:
         r_cut = float(centers[min(peak + nbins // 10, nbins - 1)])
     return r_cut
+
+
+def _rdf_bins(r, edges):
+    """The bin of each distance r >= 0 among the equal bins between edges,
+    those beyond the last edge left out: np.histogram's bins for a range
+    from 0, bit for bit, by its own steps.  The index is r over the range
+    times the bin count, the last edge falls in the last bin, and one
+    comparison each way with the edges moves an index that rounding put one
+    bin off."""
+    nbins = len(edges) - 1
+    rmax = edges[-1]
+    inside = r <= rmax
+    if not inside.all():
+        r = r[inside]
+    idx = (r / rmax * nbins).astype(np.intp)
+    np.minimum(idx, nbins - 1, out=idx)
+    idx -= r < edges[idx]
+    idx += (r >= edges[idx + 1]) & (idx != nbins - 1)
+    return idx
 
 
 def _coefficient(kk, mm):

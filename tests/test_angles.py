@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import coordgeo as cg
-from coordgeo.angles import (AnglePool, bond_angles, derive_discretizer,
-                             discretize, distinct_values)
+from coordgeo.angles import (AnglePool, angle_bins, bond_angles,
+                             derive_discretizer, discretize, distinct_values)
 from coordgeo.coefficients import descriptor
 
 from published import TABLE
+from references import searchsorted_bins
 
 TET_ANGLE = math.degrees(math.acos(-1.0 / 3.0))  # 109.47122063449069
 
@@ -218,6 +219,54 @@ def test_discretize_monotone(angles):
     a = sorted(angles)
     classes = [d.classify(x) for x in a]
     assert classes == sorted(classes)
+
+
+def _assert_bins_as_searchsorted(edges, angles):
+    """angle_bins equals np.searchsorted on the angles, on 0 and 180, and on
+    every edge and both its neighbouring floats within [0, 180]."""
+    edges = np.sort(np.asarray(edges, dtype=np.float64))
+    near = np.concatenate([edges, np.nextafter(edges, -np.inf),
+                           np.nextafter(edges, np.inf)])
+    a = np.concatenate([angles, [0.0, 180.0], near[(near >= 0) & (near <= 180)]])
+    got = angle_bins(edges)(a)
+    assert got.dtype == np.intp
+    assert np.array_equal(got, searchsorted_bins(edges, a))
+
+
+_ANGLE = st.floats(0.0, 180.0)
+
+
+@given(st.lists(st.floats(0.0, 180.0, exclude_min=True, exclude_max=True),
+                max_size=40, unique=True),
+       st.lists(_ANGLE, max_size=200))
+@settings(max_examples=200, deadline=None)
+def test_angle_bins_equal_searchsorted(edges, angles):
+    _assert_bins_as_searchsorted(edges, angles)
+
+
+@given(st.integers(0, 719), st.lists(st.floats(0.0, 0.25, exclude_max=True),
+                                     min_size=2, max_size=4, unique=True),
+       st.lists(st.floats(0.0, 180.0, exclude_min=True, exclude_max=True),
+                max_size=20, unique=True),
+       st.lists(_ANGLE, max_size=100))
+@settings(max_examples=200, deadline=None)
+def test_angle_bins_with_edges_inside_one_quarter_degree(quarter, offsets,
+                                                         others, angles):
+    """Two to four edges within one quarter degree, which no discretizer of
+    the catalog holds, take as many comparisons after the table."""
+    inside = quarter / 4.0 + np.array(offsets)
+    edges = np.unique(np.concatenate([inside, others]))
+    span = quarter / 4.0 + np.linspace(0.0, 0.25, 50, endpoint=False)
+    _assert_bins_as_searchsorted(edges, np.concatenate([angles, span]))
+
+
+@pytest.mark.parametrize("epsilon", [0.01, 0.1, 0.5, 2.85])
+def test_angle_bins_on_catalog_discretizers(catalog, epsilon):
+    d = derive_discretizer(cg.collect_pool(catalog), epsilon=epsilon)
+    angles = np.random.default_rng(0).uniform(0.0, 180.0, 20_000)
+    _assert_bins_as_searchsorted(d.bin_edges, angles)
+    assert np.array_equal(d.classify(angles[angles > 0]),
+                          searchsorted_bins(d.bin_edges, angles[angles > 0]))
 
 
 @pytest.mark.parametrize("code", list(TABLE))

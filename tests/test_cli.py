@@ -6,11 +6,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import coordgeo as cg
-from coordgeo import kernels
+from coordgeo import cli, kernels, snapshot
 from coordgeo.cli import main
 from coordgeo.snapshot import Frame, make_lattice, write_frames
+
+from references import tails_template
 
 # sha256 of each artifact of the benchmark workloads at seed 0
 DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
@@ -454,6 +457,26 @@ def test_analyze_csv_bytes_equal_the_fstring_rows(tmp_path, analyze):
     assert rows[1] == b"0,0,0,0,nan,-,nan"
     assert rows[-1] == b"1,109,1,0,nan,-,nan"
     assert len(rows) == 1 + isolated.n + open_.n
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 300),
+       pool=st.integers(1, 12))
+@settings(max_examples=200, deadline=None)
+def test_tails_equal_one_template(catalog, seed, n, pool):
+    """The CSV tails, "k,m,e," formatted once per distinct (k, m), are the
+    text of one % template over every field: rows of k < 2 (NaN e and d_e)
+    and rows sharing (k, m) under other labels and distances among them."""
+    rng = np.random.default_rng(seed)
+    kk = rng.integers(0, 20, size=pool)[rng.integers(0, pool, size=n)]
+    mm = np.minimum(rng.integers(1, 12, size=n), kk * (kk - 1) // 2)
+    label = rng.integers(-1, len(catalog.codes), size=n)
+    label[kk < 2] = -1
+    d_e = rng.choice([0.0, 1 / 3, 2.5e-7, 1e3], size=n) + rng.random(n)
+    d_e[kk < 2] = np.nan
+    result = snapshot.FrameResult((*catalog.codes, "-"), kk, mm,
+                                  snapshot._coefficient(kk, mm), label, d_e,
+                                  np.arange(n))
+    assert cli._tails(result) == tails_template(result)
 
 
 def _descriptor_set(rng, n, nbins):

@@ -11,6 +11,7 @@ from coordgeo.coefficients import (ParticleDescriptor, check_loose_bounds,
                                    distances, e_many, e_one)
 
 from published import TABLE
+from references import distances_loop
 
 
 def _desc(k, m):
@@ -183,6 +184,35 @@ def test_distances_match_scalar_d_e(seed, na, nb):
     same = (k[:, None] == k) & (f[:, None, :] == f).all(axis=2)
     assert np.all(full[same] == 0.0)
     assert np.all(full[~same] > 0.0)
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), na=st.integers(0, 40),
+       nb=st.integers(0, 30), classes=st.integers(1, 12))
+@settings(max_examples=200, deadline=None)
+def test_distances_union_equals_maximum_loop(seed, na, nb, classes):
+    """The union by indicator products gives the distances of np.maximum
+    against one row at a time, bit for bit, with counts 0 to 6 on both
+    sides (the catalog's reach only 2 at the published epsilon)."""
+    rng = np.random.default_rng(seed)
+    fa = rng.integers(0, 7, size=(na, classes))
+    fb = rng.integers(0, 7, size=(nb, classes))
+    fa[fa.sum(axis=1) == 0, 0] = 1
+    fb[fb.sum(axis=1) == 0, 0] = 1
+    ka = rng.integers(2, 30, size=na) + fa.sum(axis=1)
+    kb = rng.integers(2, 30, size=nb) + fb.sum(axis=1)
+    got = distances(ka, fa, kb, fb)
+    assert got.shape == (na, nb)
+    if na and nb:
+        assert got.tobytes() == distances_loop(ka, fa, kb, fb).tobytes()
+
+
+def test_distance_matrix_equals_maximum_loop(catalog):
+    """Every catalog distance matrix of a few discretizers, bit for bit."""
+    for epsilon in (0.1, 1.0, 2.85):
+        disc = cg.derive_discretizer(cg.collect_pool(catalog), epsilon=epsilon)
+        k, f = cg.descriptor_arrays(catalog.geometries, disc)
+        d = cg.distance_matrix(catalog, disc).d
+        assert d.tobytes() == distances_loop(k, f, k, f).tobytes()
 
 
 _PERM_CACHE = {}

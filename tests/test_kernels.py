@@ -15,7 +15,7 @@ from coordgeo import kernels
 from coordgeo.coefficients import descriptor_arrays
 from coordgeo.snapshot import make_lattice
 
-from references import brute_neighbour_csr
+from references import brute_neighbour_csr, cell_neighbour_csr
 
 
 @pytest.fixture(scope="module")
@@ -27,8 +27,8 @@ def setup(catalog, discretizer):
 
 
 def _cell_list_vs_brute(pos, box, rcut):
-    """neighbour_csr equals the brute force."""
-    s1, i1 = kernels.neighbour_csr(pos, box, rcut)
+    """The cell list's CSR equals the brute force."""
+    s1, i1 = cell_neighbour_csr(pos, box, rcut)
     s2, i2 = brute_neighbour_csr(pos, box, rcut)
     assert np.array_equal(s1, s2)
     assert np.array_equal(i1, i2)
@@ -48,7 +48,7 @@ def test_neighbour_backends_agree(setup):
     pos = np.random.default_rng(6).uniform(0.0, 1.0, size=(150, 3)) @ box
     assert (kernels._perpendicular_widths(box) // 0.5).prod() > len(pos)
     for b in (box, None):
-        assert kernels.neighbour_csr(pos, b, 0.5)[0][-1] > 0
+        assert cell_neighbour_csr(pos, b, 0.5)[0][-1] > 0
         _cell_list_vs_brute(pos, b, 0.5)
 
 
@@ -119,7 +119,7 @@ def test_pairs_within_yields_each_pair_once(seed, n, periodic, cells, slack,
 
 
 def _grid(pos, box, rcut):
-    """The cells per axis of neighbour_csr's one pair search, and the
+    """The cells per axis of cell_neighbour_csr's one pair search, and the
     frame's widths: the box's perpendicular widths, or an open extent."""
     grids = []
     flat = kernels._flat
@@ -129,7 +129,7 @@ def _grid(pos, box, rcut):
         return flat(cell, ncell)
 
     with mock.patch.object(kernels, "_flat", side_effect=recorded):
-        kernels.neighbour_csr(pos, box, rcut)
+        cell_neighbour_csr(pos, box, rcut)
     (ncell,) = grids
     if box is None:
         return ncell, np.ptp(pos, axis=0)
@@ -174,7 +174,7 @@ def test_wide_slab_scans_as_few_candidates_as_a_narrow_one():
             return pair_r2(cols, i, j, box, inv)
 
         with mock.patch.object(kernels, "_pair_r2", side_effect=counted):
-            kernels.neighbour_csr(fr.positions, fr.box, 0.85)
+            cell_neighbour_csr(fr.positions, fr.box, 0.85)
         return sum(counts) / fr.n
 
     wide, narrow = per_particle((70, 70, 2)), per_particle((30, 30, 2))
@@ -189,7 +189,7 @@ def test_dilute_frame_search_memory_is_bounded_by_particles():
     pos = np.random.default_rng(0).uniform(0.0, 1000.0, size=(20, 3))
     tracemalloc.start()
     try:
-        starts, _ = kernels.neighbour_csr(pos, 1000.0 * np.eye(3), 1.0)
+        starts, _ = cell_neighbour_csr(pos, 1000.0 * np.eye(3), 1.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -253,7 +253,7 @@ def test_profile_counts_sum_to_m(setup):
     # isolated particle (k = 0) and an isolated pair (k = 1)
     lone = np.vstack([fr.positions, [[50.0, 0, 0], [0, 50.0, 0], [0, 50.5, 0]]])
     for pos, box in ((fr.positions, fr.box), (lone, None)):
-        starts, idx = kernels.neighbour_csr(pos, box, 1.2)
+        starts, idx = cell_neighbour_csr(pos, box, 1.2)
         kk, fcounts = kernels.profile_particles(pos, box, starts, idx, edges)
         assert np.all(fcounts[kk >= 2].sum(axis=1) >= 1)
         assert not fcounts[kk < 2].any()
@@ -326,7 +326,7 @@ def _profile_loop(pos, box, starts, idx, edges):
 
 
 def _assert_profile_as_loop(pos, box, rcut, edges):
-    starts, idx = kernels.neighbour_csr(pos, box, rcut)
+    starts, idx = cell_neighbour_csr(pos, box, rcut)
     args = (pos, box, starts, idx, edges)
     try:
         ref = _profile_loop(*args)
@@ -390,7 +390,7 @@ def test_profile_coincident_message(setup):
     pos = fr.positions
     # particle 5 gets two twins at the end, then comes a coincident lone pair
     pos = np.vstack([pos, pos[[5, 5]], [[50.0, 0, 0], [50.0, 0, 0]]])
-    starts, idx = kernels.neighbour_csr(pos, None, 1.2)
+    starts, idx = cell_neighbour_csr(pos, None, 1.2)
     args = (pos, None, starts, idx, edges)
     n = len(fr.positions)
     msg = re.escape(f"particle 5 coincides with particle {n} (zero-length bond)")
@@ -399,7 +399,7 @@ def test_profile_coincident_message(setup):
     with pytest.raises(ValueError, match=msg):
         kernels.profile_particles(*args)
     # the k = 1 pair alone still raises
-    starts, idx = kernels.neighbour_csr(pos[-2:], None, 1.2)
+    starts, idx = cell_neighbour_csr(pos[-2:], None, 1.2)
     with pytest.raises(ValueError, match="particle 0 coincides with particle 1"):
         kernels.profile_particles(pos[-2:], None, starts, idx, edges)
 
@@ -626,7 +626,7 @@ def test_classify_equals_particle_loop(setup):
                               ("sc", 1.2, 0.0), ("hcp", 1.2, 0.0),
                               ("fcc", 0.85, 0.03), ("bcc", 0.9, 0.05)):
         fr = make_lattice(kind, 3, noise=noise, seed=7)
-        starts, idx = kernels.neighbour_csr(fr.positions, fr.box, rcut)
+        starts, idx = cell_neighbour_csr(fr.positions, fr.box, rcut)
         kk, fcounts = kernels.profile_particles(fr.positions, fr.box, starts,
                                                 idx, edges)
         _assert_classify_as_loop(kk, fcounts, cat)
@@ -679,7 +679,7 @@ def _margin(pos, box, rcut, edges):
 
 
 def _profile_and_labels(pos, box, rcut, edges, cat):
-    starts, idx = kernels.neighbour_csr(pos, box, rcut)
+    starts, idx = cell_neighbour_csr(pos, box, rcut)
     kk, fcounts = kernels.profile_particles(pos, box, starts, idx, edges)
     return kk, fcounts, kernels.classify_particles(kk, fcounts, *cat)[0]
 
@@ -707,3 +707,19 @@ def test_profile_invariant_under_motion_and_relabelling(setup, kind, noise, seed
                                 edges, cat)
     for a, b in zip(ref, moved):
         assert np.array_equal(a[perm], b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 3),
+                min_size=1, max_size=50))
+def test_bond_lengths_equal_linalg_norm(vectors):
+    """The profile's bond lengths are np.linalg.norm(axis=1) bit for bit,
+    also where a component's square overflows to inf or underflows."""
+    vec = np.array(vectors, dtype=np.float64)
+    edge = np.array([[1e200, 1e200, 1.0], [1e155, 1e155, 1e155],
+                     [1e-200, 3e-170, 0.0], [-0.0, 0.0, -0.0],
+                     [np.finfo(float).max, 0.0, 0.0]])
+    for v in (vec, edge, np.ascontiguousarray(vec[::-1])):
+        with np.errstate(over="ignore", under="ignore"):
+            assert (kernels._norms(v.copy()).tobytes()
+                    == np.linalg.norm(v, axis=1).tobytes())

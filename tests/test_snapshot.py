@@ -3,13 +3,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import coordgeo as cg
 from coordgeo import kernels, snapshot
 from coordgeo.snapshot import (Frame, auto_cutoff, iter_frames, make_lattice,
                                neighbours_cutoff, write_frames)
 
-from references import brute_neighbour_csr, lattice_loop
+from references import (brute_neighbour_csr, cell_neighbour_csr,
+                        histogram_counts, lattice_loop)
 
 
 def test_read_minimal_two_line_xyz(tmp_path):
@@ -405,8 +407,8 @@ def _check_pairs(frame, r_cut, pairs):
     neighbours_cutoff builds from them the lists of its own search.  The
     chunks are read twice, so a one-shot iterator of them fails here."""
     starts, idx = kernels.pairs_csr(frame.n, pairs)
-    ref_starts, ref_idx = kernels.neighbour_csr(frame.positions, frame.box,
-                                                r_cut)
+    ref_starts, ref_idx = cell_neighbour_csr(frame.positions, frame.box,
+                                             r_cut)
     assert np.array_equal(starts, ref_starts)
     assert np.array_equal(idx, ref_idx)
     given = neighbours_cutoff(frame, r_cut, pairs)
@@ -794,3 +796,21 @@ def test_hcp_lattice_geometry():
     fr = make_lattice("hcp", 3)
     nl = neighbours_cutoff(fr, 1.2)
     assert set(nl.counts.tolist()) == {12}
+
+
+@given(rmax=st.floats(1e-9, 1e6), nbins=st.integers(1, 400),
+       fractions=st.lists(st.floats(0.0, 1.5), max_size=300),
+       seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_rdf_bins_equal_histogram(rmax, nbins, fractions, seed):
+    """auto_cutoff's bins count as np.histogram over (0, rmax) does: random
+    distances, every edge and both its neighbouring floats, 0 and rmax
+    itself, and distances beyond rmax, which neither counts."""
+    edges = np.histogram_bin_edges([], nbins, range=(0.0, rmax))
+    rng = np.random.default_rng(seed)
+    r = np.concatenate([np.array(fractions) * rmax,
+                        rng.uniform(0.0, rmax, 500), edges,
+                        np.nextafter(edges, 0.0), np.nextafter(edges, np.inf),
+                        [0.0, rmax]])
+    counts = np.bincount(snapshot._rdf_bins(r, edges), minlength=nbins)
+    assert np.array_equal(counts, histogram_counts(r, edges))
