@@ -55,14 +55,14 @@ def bond_angles(vertices) -> np.ndarray:
     return np.degrees(np.arccos(cosangles))
 
 
-def distinct_values(values, tol: float = DISTINCT_TOL) -> np.ndarray:
-    """Distinct angle values of a multiset, merged at the given resolution."""
+def distinct_values(values) -> np.ndarray:
+    """Distinct angle values of a multiset, merged at DISTINCT_TOL."""
     s = np.sort(np.asarray(values, dtype=float))
     if len(s) == 0:
         return s
     keep = [s[0]]
     for x in s[1:]:
-        if x - keep[-1] > tol:
+        if x - keep[-1] > DISTINCT_TOL:
             keep.append(x)
     return np.array(keep)
 
@@ -159,7 +159,7 @@ class Discretizer:
             raise ValueError("angle outside (0, 180]")
         return angle_bins(self.bin_edges)(a)
 
-    def to_json(self, indent: int = 2) -> str:
+    def to_json(self) -> str:
         return json.dumps(
             {
                 "epsilon": self.epsilon,
@@ -167,7 +167,7 @@ class Discretizer:
                 "inherent_angles": [float(x) for x in self.inherent_angles],
                 "bin_edges": [float(x) for x in self.bin_edges],
             },
-            indent=indent,
+            indent=2,
         )
 
 

@@ -152,19 +152,16 @@ def _bipyramid(n):
     return np.vstack([_ring(n, 1.0, 0.0), [[0, 0, 1]], [[0, 0, -1]]])
 
 
+def _square_antiprism_ring():
+    # (height, radius) of the uniform square antiprism's two rings: ring and
+    # lateral edges equal, inscribed in the unit sphere
+    c2 = SQ2 / (4.0 + SQ2)
+    return math.sqrt(c2), math.sqrt(1.0 - c2)
+
+
 def _square_antiprism():
-    # uniform: ring and lateral edges equal, inscribed in the unit sphere
-    c2 = SQ2 / (4.0 + SQ2)
-    h = math.sqrt(c2)
-    r = math.sqrt(1.0 - c2)
+    h, r = _square_antiprism_ring()
     return np.vstack([_ring(4, r, h), _ring(4, r, -h, az0=np.pi / 4)])
-
-
-def _square_antiprism_cap_height():
-    c2 = SQ2 / (4.0 + SQ2)
-    h = math.sqrt(c2)
-    r = math.sqrt(1.0 - c2)
-    return h + r  # apex at ring-edge distance from the adjacent square
 
 
 def _trigonal_prism():
@@ -196,76 +193,56 @@ def _snub_disphenoid():
     ])
 
 
-def _builders():
-    cap_sa = _square_antiprism_cap_height()
-    cap_csp = (1.0 + SQ2) / SQ3      # edge-preserving apex over a cube face
-    cap_bsp = 2.0 / SQ3              # octahedral lattice sites (BCC subset)
-    return {
-        "TBP": lambda: _bipyramid(3),
-        "SDS": _snub_disphenoid,
-        "PBP": lambda: _bipyramid(5),
-        "CTP": lambda: np.vstack([_trigonal_prism(), _trigonal_prism_caps(1)]),
-        "BTP": lambda: np.vstack([_trigonal_prism(), _trigonal_prism_caps(2)]),
-        "TET": _tetrahedron,
-        "HBP": lambda: _bipyramid(6),
-        "CSA": lambda: np.vstack([_square_antiprism(), [[0, 0, cap_sa]]]),
-        "CSP": lambda: np.vstack([_cube(), [[0, 0, cap_csp]]]),
-        "TTP": lambda: np.vstack([_trigonal_prism(), _trigonal_prism_caps(3)]),
-        "SC": _octahedron,
-        "BSA": lambda: np.vstack([_square_antiprism(),
-                                  [[0, 0, cap_sa]], [[0, 0, -cap_sa]]]),
-        "BSP": lambda: np.vstack([_cube(), [[0, 0, cap_bsp]], [[0, 0, -cap_bsp]]]),
-        "CPP": lambda: np.vstack([_pentagonal_prism(), [[0, 0, 1.0]]]),
-        "SA": _square_antiprism,
-        "HDR": _cube,
-        "BPP": lambda: np.vstack([_pentagonal_prism(), [[0, 0, 1.0]], [[0, 0, -1.0]]]),
-        "HCP": _anticuboctahedron,
-        "BCC": _bcc_shell,
-        "FCC": _cuboctahedron,
-        "CPA": lambda: _icosahedron()[:-1],
-        "ICO": _icosahedron,
-    }
+# apex at ring-edge distance from the adjacent square: ring height + radius
+_CAP_SA = sum(_square_antiprism_ring())
+_CAP_CSP = (1.0 + SQ2) / SQ3  # edge-preserving apex over a cube face
+_CAP_BSP = 2.0 / SQ3          # octahedral lattice sites (BCC subset)
 
-
-# (code, name, polyhedral class, k) in order of increasing one-particle E
+# (code, name, polyhedral class, taxonomy class, k, builder) in order of
+# increasing one-particle E
 _ROWS = [
-    ("TBP", "Trigonal bipyramidal", "Deltahedral, bipyramidal", 5),
-    ("SDS", "Snub disphenoidal", "Deltahedral", 8),
-    ("PBP", "Pentagonal bipyramidal", "Deltahedral, bipyramidal", 7),
-    ("CTP", "Capped trigonal prismatic", "Prismatic", 7),
-    ("BTP", "Bicapped trigonal prismatic", "Prismatic", 8),
-    ("TET", "Regular tetrahedral", "Platonic, deltahedral", 4),
-    ("HBP", "Hexagonal bipyramidal", "Bipyramidal", 8),
-    ("CSA", "Capped square antiprismatic", "Antiprismatic", 9),
-    ("CSP", "Capped square prismatic", "Prismatic", 9),
-    ("TTP", "Tricapped trigonal prismatic", "Prismatic, deltahedral", 9),
-    ("SC", "Regular octahedral", "Platonic, deltahedral, bipyramidal", 6),
-    ("BSA", "Bicapped square antiprismatic", "Deltahedral, antiprismatic", 10),
-    ("BSP", "Bicapped square prismatic", "Prismatic", 10),
-    ("CPP", "Capped pentagonal prismatic", "Prismatic", 11),
-    ("SA", "Square antiprismatic", "Antiprismatic", 8),
-    ("HDR", "Regular hexahedral", "Platonic, prismatic", 8),
-    ("BPP", "Bicapped pentagonal prismatic", "Prismatic", 12),
-    ("HCP", "Anticuboctahedral", "Bicupolar", 12),
-    ("BCC", "Rhombic dodecahedral", "Catalan", 14),
-    ("FCC", "Cuboctahedral", "Bicupolar", 12),
-    ("CPA", "Capped pentagonal antiprismatic", "Antiprismatic", 11),
-    ("ICO", "Regular icosahedral", "Platonic, deltahedral, antiprismatic", 12),
+    ("TBP", "Trigonal bipyramidal", "Deltahedral, bipyramidal", "bipyramidal", 5,
+     lambda: _bipyramid(3)),
+    ("SDS", "Snub disphenoidal", "Deltahedral", "ellipsoidal", 8, _snub_disphenoid),
+    ("PBP", "Pentagonal bipyramidal", "Deltahedral, bipyramidal", "bipyramidal", 7,
+     lambda: _bipyramid(5)),
+    ("CTP", "Capped trigonal prismatic", "Prismatic", "ellipsoidal", 7,
+     lambda: np.vstack([_trigonal_prism(), _trigonal_prism_caps(1)])),
+    ("BTP", "Bicapped trigonal prismatic", "Prismatic", "ellipsoidal", 8,
+     lambda: np.vstack([_trigonal_prism(), _trigonal_prism_caps(2)])),
+    ("TET", "Regular tetrahedral", "Platonic, deltahedral", "tetrahedral", 4, _tetrahedron),
+    ("HBP", "Hexagonal bipyramidal", "Bipyramidal", "bipyramidal", 8,
+     lambda: _bipyramid(6)),
+    ("CSA", "Capped square antiprismatic", "Antiprismatic", "spheroidal", 9,
+     lambda: np.vstack([_square_antiprism(), [[0, 0, _CAP_SA]]])),
+    ("CSP", "Capped square prismatic", "Prismatic", "cuboidal", 9,
+     lambda: np.vstack([_cube(), [[0, 0, _CAP_CSP]]])),
+    ("TTP", "Tricapped trigonal prismatic", "Prismatic, deltahedral", "spheroidal", 9,
+     lambda: np.vstack([_trigonal_prism(), _trigonal_prism_caps(3)])),
+    ("SC", "Regular octahedral", "Platonic, deltahedral, bipyramidal", "bipyramidal", 6,
+     _octahedron),
+    ("BSA", "Bicapped square antiprismatic", "Deltahedral, antiprismatic", "spheroidal", 10,
+     lambda: np.vstack([_square_antiprism(), [[0, 0, _CAP_SA]], [[0, 0, -_CAP_SA]]])),
+    ("BSP", "Bicapped square prismatic", "Prismatic", "cuboidal", 10,
+     lambda: np.vstack([_cube(), [[0, 0, _CAP_BSP]], [[0, 0, -_CAP_BSP]]])),
+    ("CPP", "Capped pentagonal prismatic", "Prismatic", "spheroidal", 11,
+     lambda: np.vstack([_pentagonal_prism(), [[0, 0, 1.0]]])),
+    ("SA", "Square antiprismatic", "Antiprismatic", "spheroidal", 8, _square_antiprism),
+    ("HDR", "Regular hexahedral", "Platonic, prismatic", "cuboidal", 8, _cube),
+    ("BPP", "Bicapped pentagonal prismatic", "Prismatic", "spheroidal", 12,
+     lambda: np.vstack([_pentagonal_prism(), [[0, 0, 1.0]], [[0, 0, -1.0]]])),
+    ("HCP", "Anticuboctahedral", "Bicupolar", "spheroidal", 12, _anticuboctahedron),
+    ("BCC", "Rhombic dodecahedral", "Catalan", "cuboidal", 14, _bcc_shell),
+    ("FCC", "Cuboctahedral", "Bicupolar", "spheroidal", 12, _cuboctahedron),
+    ("CPA", "Capped pentagonal antiprismatic", "Antiprismatic", "spheroidal", 11,
+     lambda: _icosahedron()[:-1]),
+    ("ICO", "Regular icosahedral", "Platonic, deltahedral, antiprismatic", "spheroidal", 12,
+     _icosahedron),
 ]
 
 CODES = [r[0] for r in _ROWS]
 
-TAXONOMY = {
-    "TET": "tetrahedral",
-    "TBP": "bipyramidal", "PBP": "bipyramidal", "HBP": "bipyramidal",
-    "SC": "bipyramidal",
-    "SDS": "ellipsoidal", "CTP": "ellipsoidal", "BTP": "ellipsoidal",
-    "HDR": "cuboidal", "CSP": "cuboidal", "BSP": "cuboidal", "BCC": "cuboidal",
-    "CSA": "spheroidal", "TTP": "spheroidal", "BSA": "spheroidal",
-    "CPP": "spheroidal", "SA": "spheroidal", "BPP": "spheroidal",
-    "HCP": "spheroidal", "FCC": "spheroidal", "CPA": "spheroidal",
-    "ICO": "spheroidal",
-}
+TAXONOMY = {r[0]: r[3] for r in _ROWS}
 
 # ordered pairs (capped geometry, its capping)
 CAPPING_RELATION = frozenset({
@@ -279,12 +256,10 @@ CAPPING_RELATION = frozenset({
 
 def build_geometry(code: str) -> GeometrySpec:
     """Construct one catalog geometry by its abbreviation."""
-    builders = _builders()
-    for c, name, pclass, k in _ROWS:
+    for c, name, pclass, tclass, k, build in _ROWS:
         if c == code:
-            return GeometrySpec(code=c, name=name, vertices=builders[c](),
-                                k=k, polyhedral_class=pclass,
-                                taxonomy_class=TAXONOMY[c])
+            return GeometrySpec(code=c, name=name, vertices=build(), k=k,
+                                polyhedral_class=pclass, taxonomy_class=tclass)
     raise KeyError(f"unknown geometry code: {code!r}")
 
 
@@ -304,7 +279,7 @@ def capping_reduced_set(catalog: Catalog) -> list[str]:
     return [c for c in catalog.codes if c not in capped]
 
 
-def catalog_to_json(catalog: Catalog, indent: int = 2) -> str:
+def catalog_to_json(catalog: Catalog) -> str:
     """Serialize the catalog for the CLI ``catalog dump`` command."""
     items = [
         {
@@ -316,4 +291,4 @@ def catalog_to_json(catalog: Catalog, indent: int = 2) -> str:
         }
         for g in catalog.geometries
     ]
-    return json.dumps(items, indent=indent)
+    return json.dumps(items, indent=2)

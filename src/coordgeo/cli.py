@@ -145,8 +145,8 @@ def _write(path, text):
         fh.write(text)
 
 
-def _fmt(x, nd=6):
-    return f"{x:.{nd}f}"
+def _fmt(x):
+    return f"{x:.6f}"
 
 
 def cmd_table(args):

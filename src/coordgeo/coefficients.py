@@ -125,23 +125,23 @@ def e_many(parts, union_mode: str = "corrected") -> float:
     return mean_log_pairs - math.log2(2.0 * card)
 
 
-def check_upper_bound(parts, union_mode: str = "corrected"):
+def check_upper_bound(parts):
     """Verify e_many <= max(e_one), with equality exactly on identical inputs.
 
     Returns (holds, equality).
     """
     parts = list(parts)
-    joint = e_many(parts, union_mode)
+    joint = e_many(parts)
     upper = max(e_one(p) for p in parts)
     holds = joint <= upper + _EQ_TOL
     equality = abs(joint - upper) <= _EQ_TOL
     return holds, equality
 
 
-def check_loose_bounds(parts, union_mode: str = "corrected") -> bool:
+def check_loose_bounds(parts) -> bool:
     """Verify the loose outer bounds on the n-particle coefficient."""
     parts = list(parts)
-    joint = e_many(parts, union_mode)
+    joint = e_many(parts)
     upper = max(_log2_pairs(p.k) for p in parts) \
         - math.log2(2.0 * min(p.m for p in parts))
     lower = min(_log2_pairs(p.k) for p in parts) \

@@ -17,6 +17,10 @@ import numpy as np
 
 __all__ = ["HullResult", "convex_hull"]
 
+# relative: lengths below TOL times the largest coordinate offset from the
+# centroid count as zero, so the hull does not depend on the set's scale
+TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class HullResult:
@@ -28,13 +32,10 @@ class HullResult:
     area: float
 
 
-def convex_hull(vertices, tol: float = 1e-9) -> HullResult:
+def convex_hull(vertices) -> HullResult:
     """Convex hull of >= 4 non-coplanar points.
 
-    tol is relative: lengths below tol times the largest coordinate offset
-    from the centroid count as zero, so the hull does not depend on the
-    set's scale.  Raises ValueError on degenerate (too few, coincident or
-    coplanar) input.
+    Raises ValueError on degenerate (too few, coincident or coplanar) input.
     """
     pts = np.asarray(vertices, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3 or len(pts) < 4:
@@ -43,7 +44,7 @@ def convex_hull(vertices, tol: float = 1e-9) -> HullResult:
     # tolerances relative to the set's size: eps for lengths, eps * scale
     # for the cross products, which are lengths squared
     scale = float(np.abs(pts - centroid).max())
-    eps = tol * scale
+    eps = TOL * scale
 
     close = np.argwhere(np.triu(((pts[:, None] - pts) ** 2).sum(axis=2) <= eps * eps, 1))
     if len(close):

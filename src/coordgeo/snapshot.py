@@ -122,6 +122,27 @@ def _quoted(comment, key):
     return comment[head.end():end]
 
 
+def _check_properties(path, line, comment):
+    """Refuse, as path:line, a Properties entry unless x y z are its columns
+    2-4, where the atom lines are read: one single-column entry (the
+    species), then pos:R:3, then any others."""
+    head = re.search(r'(?:^|\s)Properties="?([^\s"]*)', comment)
+    if head is None:
+        return
+    fields = head.group(1).split(":")
+    if fields[2:6] == ["1", "pos", "R", "3"]:
+        return
+    names, counts = fields[::3], fields[2::3]
+    before = counts[:names.index("pos")] if "pos" in names else None
+    if before is not None and all(c.isdigit() for c in before):
+        where = f"pos at column {1 + sum(map(int, before))}"
+    else:
+        where = "no pos column the reader can place"
+    raise ValueError(f"{path}:{line}: Properties entry {head.group(1)!r} has "
+                     f"{where}; the reader needs one single-column entry, "
+                     f"then pos:R:3")
+
+
 def _parse_extxyz_comment(comment):
     """(lattice, periodic) of an extended-XYZ comment line.
 
@@ -180,6 +201,7 @@ def _parse_atoms(path, first, atoms):
 def _parse_frame(path, start, comment, atoms, fmt):
     """Frame whose atom count is on line `start`; comment is None if omitted."""
     first = start + 1 if comment is None else start + 2
+    _check_properties(path, start + 1, comment or "")
     species, pos = _parse_atoms(path, first, atoms)
     bad = ~np.isfinite(pos).all(axis=1)
     if bad.any():
@@ -211,11 +233,14 @@ def iter_frames(path, fmt: str = "auto"):
     of "F F F" makes the frame open whatever its Lattice, and mixed flags
     raise.  The file is read as the frames are consumed, so a bad record
     raises, naming path:line, only when its frame is reached.  A last frame
-    may omit its comment line.
+    may omit its comment line.  x y z are read from columns 2-4, so a
+    Properties entry must open with one single-column entry, then pos:R:3.
+    The file is decoded as UTF-8 and an undecodable byte reads as U+FFFD, so
+    one in a count or a coordinate is refused at its line.
     """
     _check_format(fmt)
     found = False
-    with open(path) as fh:
+    with open(path, encoding="utf-8", errors="replace") as fh:
         lines = enumerate(fh, start=1)
         for start, head in lines:
             if not head.strip():
@@ -251,7 +276,9 @@ def _read_frame(path, lines, start, head, fmt):
 
 def write_frames(path, frames, fmt: str = "auto") -> None:
     """Write frames as (extended-)XYZ; a frame with a box gets a Lattice entry
-    unless fmt is "xyz", and "extxyz" refuses a frame without one."""
+    unless fmt is "xyz", and "extxyz" refuses a frame without one.  A species
+    that is empty or holds whitespace, which the reader could not split from
+    the coordinates, is refused before anything is written."""
     _check_format(fmt)
     out = []
     for i, fr in enumerate(frames):
@@ -264,7 +291,10 @@ def write_frames(path, frames, fmt: str = "auto") -> None:
         else:
             out.append("")
         species = fr.species or ["X"] * fr.n
-        for s, p in zip(species, fr.positions):
+        for j, (s, p) in enumerate(zip(species, fr.positions)):
+            if str(s).split() != [str(s)]:
+                raise ValueError(f"frame {i}: particle {j}: species {s!r} is "
+                                 f"empty or holds whitespace")
             out.append(f"{s} {p[0]:.10f} {p[1]:.10f} {p[2]:.10f}")
     Path(path).write_text("\n".join(out) + "\n")
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .angles import Discretizer
-from .catalog import Catalog, TAXONOMY
+from .catalog import Catalog
 from .coefficients import descriptor, descriptor_arrays, distances, e_one
 from .hull import convex_hull
 from .shape import moment_per_neighbour, sphericity
@@ -169,25 +169,24 @@ class Dendrogram:
     leaves: tuple
     merges: tuple  # (left_id, right_id, height, new_id)
 
-    def newick(self, decimals: int = 6) -> str:
+    def newick(self) -> str:
         n = len(self.leaves)
         height = {i: 0.0 for i in range(n)}
         label = {i: self.leaves[i] for i in range(n)}
         for left, right, h, new in self.merges:
             bl = h - height[left]
             br = h - height[right]
-            label[new] = (f"({label[left]}:{bl:.{decimals}f},"
-                          f"{label[right]}:{br:.{decimals}f})")
+            label[new] = f"({label[left]}:{bl:.6f},{label[right]}:{br:.6f})"
             height[new] = h
         root = self.merges[-1][3]
         return label[root] + ";"
 
-    def dot(self, decimals: int = 4) -> str:
+    def dot(self) -> str:
         lines = ["graph dendrogram {", "  node [shape=box];"]
         for i, code in enumerate(self.leaves):
             lines.append(f'  n{i} [label="{code}"];')
         for left, right, h, new in self.merges:
-            lines.append(f'  n{new} [label="{h:.{decimals}f}" shape=point];')
+            lines.append(f'  n{new} [label="{h:.4f}" shape=point];')
             lines.append(f"  n{new} -- n{left};")
             lines.append(f"  n{new} -- n{right};")
         lines.append("}")
@@ -450,8 +449,7 @@ def class_averages(catalog: Catalog, tau: dict) -> list:
     """Per-taxonomy-class means of sphericity, moment per neighbour and tau."""
     rows = {}
     for g in catalog.geometries:
-        cls = TAXONOMY[g.code]
-        rows.setdefault(cls, []).append(
+        rows.setdefault(g.taxonomy_class, []).append(
             (sphericity(g.vertices), moment_per_neighbour(g.vertices), tau[g.code]))
     order = ["spheroidal", "ellipsoidal", "bipyramidal", "cuboidal", "tetrahedral"]
     out = []

@@ -28,6 +28,8 @@ def test_catalog_dump(tmp_path):
     assert _run(["catalog", "dump", "--out", str(out)]) == 0
     items = json.loads(out.read_text())
     assert len(items) == 22
+    assert [it["code"] for it in items] == cg.CODES
+    assert all(it["class"] == cg.TAXONOMY[it["code"]] for it in items)
     byc = {it["code"]: it for it in items}
     assert byc["BCC"]["k"] == 14
 
@@ -147,6 +149,7 @@ def test_inherent_angles_json(tmp_path, monkeypatch, capsys):
     assert "inherent angles" in printed
     data = json.loads(out.read_text())
     assert data["epsilon"] == 2.85
+    assert out.read_text() == json.dumps(data, indent=2) + "\n"
     # with --out - stdout holds the JSON alone, without the table
     monkeypatch.chdir(tmp_path)
     assert _run(["inherent-angles", "--out", "-"]) == 0

@@ -64,6 +64,18 @@ def test_write_extxyz_refuses_a_boxless_frame(tmp_path):
     assert list(iter_frames(p, fmt="extxyz"))[0].box is not None
 
 
+@pytest.mark.parametrize("species, where", [
+    (["Cu a", "Cu"], "particle 0: species 'Cu a'"),
+    (["Cu", ""], "particle 1: species ''"),
+], ids=["blank-inside", "empty"])
+def test_write_refuses_a_species_the_reader_cannot_split(tmp_path, species, where):
+    p = tmp_path / "sp.xyz"
+    frame = Frame(positions=[[0.0, 0, 0], [1.0, 0, 0]], species=species)
+    with pytest.raises(ValueError, match=f"frame 1: {where} is empty or holds whitespace"):
+        write_frames(p, [make_lattice("fcc", 1), frame])
+    assert not p.exists()
+
+
 def test_read_malformed_header(tmp_path):
     p = tmp_path / "bad.xyz"
     p.write_text("nonsense\nmore\n")
@@ -100,19 +112,42 @@ def test_read_truncated_frame(tmp_path):
      "unterminated pbc entry"),
     ("3\n\nX -1e308 0 0\nX 1e308 0 0\nX 0 1 0\n", 2,
      "the open frame's extent overflows"),
+    # x y z are read from columns 2-4, whatever the Properties entry says
+    ("1\nProperties=species:S:1:mass:R:1:pos:R:3\nX 12.0 0.2 0 0\n", 2,
+     "'species:S:1:mass:R:1:pos:R:3' has pos at column 3"),
+    ("1\nProperties=pos:R:3:species:S:1\n0 0 0 X\n", 2, "has pos at column 1"),
+    ("1\nProperties=id:I:1:species:S:1:pos:R:3\n1 X 0 0 0\n", 2,
+     "has pos at column 3"),
+    (b"1\nc\nX 0 0 \xff0\n", 3, "could not convert string to float"),
 ], ids=["float", "unterminated-lattice", "short-lattice", "lattice-float",
         "singular-box", "nan-box", "inf-box", "overflow-box", "nan",
         "short-record",
         "zero-count", "nan-no-comment", "mixed-pbc", "short-pbc",
-        "pbc-without-lattice", "unterminated-pbc", "overflow-open"])
+        "pbc-without-lattice", "unterminated-pbc", "overflow-open",
+        "mass-before-pos", "pos-first", "id-before-species", "not-utf8"])
 def test_read_errors_name_the_line(tmp_path, text, where, what):
     p = tmp_path / "bad.xyz"
-    p.write_text(text)
+    if isinstance(text, bytes):
+        p.write_bytes(text)
+    else:
+        p.write_text(text)
     # a numpy warning on the way would be raised instead of the ValueError
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=f"bad.xyz:{where}: .*{what}"):
             list(iter_frames(p))
+
+
+def test_read_properties_with_later_columns(tmp_path):
+    """ASE's layout reads with or without columns after pos, quoted or not."""
+    p = tmp_path / "forces.extxyz"
+    for props in ("species:S:1:pos:R:3:forces:R:3", '"species:S:1:pos:R:3"'):
+        p.write_text(f'2\nLattice="4 0 0 0 4 0 0 0 4" Properties={props} '
+                     f'energy=-1.5\nCu 0.5 1 1.5 0.1 0.2 0.3\nAu 2 2.5 3 0 0 0\n')
+        fr = list(iter_frames(p))[0]
+        assert fr.species == ["Cu", "Au"]
+        assert np.array_equal(fr.positions, [[0.5, 1, 1.5], [2, 2.5, 3]])
+        assert np.array_equal(fr.box, 4.0 * np.eye(3))
 
 
 def test_read_format_is_checked(tmp_path):
